@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -440,6 +442,135 @@ TEST(LanTest, InfiniteBandwidthDeliversConcurrently) {
   }
   net.RunFor(Millis(1));
   EXPECT_EQ(b->received.size(), 10u);  // all arrive after one latency
+}
+
+// Sends every packet it receives straight back to its source on the same
+// Lan, while its echo budget lasts, and logs each arrival to a shared list.
+class EchoNode : public Node {
+ public:
+  using Arrival = std::tuple<int64_t, std::string, uint64_t>;  // (time, node, packet id)
+
+  EchoNode(Network* net, std::string name, std::vector<Arrival>* log, int echoes)
+      : Node(net, std::move(name)), log_(log), echoes_(echoes) {}
+
+  void HandlePacket(int iface, Packet&& packet) override {
+    (void)iface;
+    log_->emplace_back(network()->now().micros(), name(), packet.id);
+    if (echoes_ > 0) {
+      --echoes_;
+      const Endpoint from = packet.src();
+      packet.set_src(packet.dst());
+      packet.set_dst(from);
+      SendPacket(std::move(packet));
+    }
+  }
+
+ private:
+  std::vector<Arrival>* log_;
+  int echoes_;
+};
+
+// A delivery whose handler transmits on the same Lan: the new packet joins
+// the link while older ones are still in flight on it, and with zero
+// latency it lands at the very instant being dispatched.
+TEST(LanTest, DeliveryTransmitsAgainOnSameLan) {
+  for (const SimDuration latency : {Micros(0), Millis(5)}) {
+    Network net(1);
+    Lan* lan = net.CreateLan("lan", LanConfig{.latency = latency});
+    std::vector<EchoNode::Arrival> log;
+    auto* a = net.Create<EchoNode>("a", &log, 3);
+    auto* b = net.Create<EchoNode>("b", &log, 6);
+    a->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 1));
+    b->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 2));
+    for (int i = 0; i < 3; ++i) {
+      Packet p;
+      p.set_dst(Endpoint(Ipv4Address::FromOctets(10, 0, 0, 2), 9));
+      ASSERT_TRUE(a->SendPacket(std::move(p)));
+    }
+    net.RunUntilIdle();
+    // Each wave arrives one latency after the previous one, in send order:
+    // b's first three echoes, a's three, then b's last three.
+    std::vector<EchoNode::Arrival> want;
+    const int64_t l = latency.micros();
+    for (int wave = 1; wave <= 4; ++wave) {
+      for (uint64_t id = 1; id <= 3; ++id) {
+        want.emplace_back(wave * l, wave % 2 == 1 ? "b" : "a", id);
+      }
+    }
+    EXPECT_EQ(log, want) << "latency " << latency.ToString();
+  }
+}
+
+// Two attachments own one IP: a third node reaches the first owner, each
+// owner reaches the other one rather than itself, and a lone owner
+// addressing its own IP gets the packet back.
+TEST(LanTest, SharedAddressPrefersAnOwnerOtherThanTheSender) {
+  Network net(1);
+  Lan* lan = net.CreateLan("lan", LanConfig{.latency = Millis(1)});
+  auto* a = net.Create<SinkNode>("a");
+  auto* b = net.Create<SinkNode>("b");
+  auto* c = net.Create<SinkNode>("c");
+  const Ipv4Address a_ip = Ipv4Address::FromOctets(10, 0, 0, 1);
+  const Ipv4Address shared = Ipv4Address::FromOctets(10, 0, 0, 9);
+  a->AttachTo(lan, a_ip);
+  b->AttachTo(lan, shared);
+  c->AttachTo(lan, shared);
+  const auto send = [&](SinkNode* from, Ipv4Address to) {
+    Packet p;
+    p.set_dst(Endpoint(to, 9));
+    ASSERT_TRUE(from->SendPacket(std::move(p)));
+    net.RunFor(Millis(2));
+  };
+  send(a, shared);
+  EXPECT_EQ(b->received.size(), 1u);
+  EXPECT_EQ(c->received.size(), 0u);
+  send(b, shared);
+  EXPECT_EQ(c->received.size(), 1u);
+  send(c, shared);
+  EXPECT_EQ(b->received.size(), 2u);
+  EXPECT_EQ(c->received.size(), 1u);
+  send(a, a_ip);
+  EXPECT_EQ(a->received.size(), 1u);
+  EXPECT_TRUE(lan->HasAddress(shared));
+  EXPECT_FALSE(lan->HasAddress(Ipv4Address::FromOctets(10, 0, 0, 2)));
+}
+
+// Two nodes trade bursts over a jittered link, so each direction carries
+// deliveries both in and out of transmit order. Runs `run_for` and returns
+// the trace.
+std::string JitteredBursts(Network& net, SimDuration run_for) {
+  net.trace().set_enabled(true);
+  Lan* lan = net.CreateLan("lan", LanConfig{.latency = Millis(5), .jitter = Micros(3)});
+  auto* a = net.Create<SinkNode>("a");
+  auto* b = net.Create<SinkNode>("b");
+  const Ipv4Address a_ip = Ipv4Address::FromOctets(10, 0, 0, 1);
+  const Ipv4Address b_ip = Ipv4Address::FromOctets(10, 0, 0, 2);
+  a->AttachTo(lan, a_ip);
+  b->AttachTo(lan, b_ip);
+  for (int i = 0; i < 20; ++i) {
+    for (const auto& [from, to] : {std::pair{a, b_ip}, std::pair{b, a_ip}}) {
+      Packet p;
+      p.payload = Bytes(static_cast<size_t>(i) * 10);  // inline and heap payloads
+      p.set_dst(Endpoint(to, 9));
+      from->SendPacket(std::move(p));
+    }
+  }
+  net.RunFor(run_for);
+  return net.trace().Dump();
+}
+
+// Reset with deliveries still in flight drops them (and the payloads they
+// own) cleanly, and the reused Network then replays a fresh one exactly.
+TEST(NetworkTest, ResetWithPacketsInFlightMatchesFreshNetwork) {
+  Network fresh(7);
+  const std::string want = JitteredBursts(fresh, Millis(10));
+  Network reused(7);
+  const std::string partial = JitteredBursts(reused, Micros(5001));
+  EXPECT_LT(partial.size(), want.size());
+  EXPECT_FALSE(reused.event_loop().idle());
+  reused.Reset(7);
+  EXPECT_TRUE(reused.event_loop().idle());
+  EXPECT_EQ(JitteredBursts(reused, Millis(10)), want);
 }
 
 TEST(NodeTest, LongestPrefixMatchWins) {

@@ -227,6 +227,50 @@ TEST(TraceGoldenTest, OutboundIcmpQuotation) {
               1653137463881705718ULL, 897u);
 }
 
+// A Fig. 5 exchange over uneven links: jitter on both private LANs, a
+// bandwidth cap on B's LAN, and duplicate + reorder mangling on the
+// internet. Each link then delivers some packets out of transmit order and
+// several at the same microsecond (a duplicate lands with its original), so
+// this pins the (time, insertion-sequence) dispatch order where in-order and
+// out-of-order deliveries mix on one link.
+TEST(TraceGoldenTest, JitterMangleBandwidthExchange) {
+  Scenario::Options options;
+  options.seed = 31;
+  auto topo = MakeFig5(NatConfig{}, NatConfig{}, options);
+  Network& net = topo.scenario->net();
+  net.trace().set_enabled(true);
+  LanConfig lan_a = topo.site_a.lan->config();
+  lan_a.jitter = Micros(3);
+  topo.site_a.lan->set_config(lan_a);
+  LanConfig lan_b = topo.site_b.lan->config();
+  lan_b.jitter = Micros(2);
+  lan_b.bandwidth_bps = 2e6;
+  topo.site_b.lan->set_config(lan_b);
+  LanConfig wan = topo.scenario->internet()->config();
+  wan.mangle.duplicate = 0.2;
+  wan.mangle.reorder = 0.3;
+  wan.mangle.reorder_hold = Micros(400);
+  topo.scenario->internet()->set_config(wan);
+
+  auto sa = topo.a->udp().Bind(4321);
+  auto sb = topo.b->udp().Bind(4321);
+  ASSERT_TRUE(sa.ok());
+  ASSERT_TRUE(sb.ok());
+  const Endpoint a_pub(NatAIp(), 62000);
+  const Endpoint b_pub(NatBIp(), 62000);
+  for (int round = 0; round < 12; ++round) {
+    for (const size_t size : {8, 40, 200}) {
+      const Bytes msg(size, static_cast<uint8_t>(round));
+      ASSERT_TRUE((*sa)->SendTo(b_pub, msg).ok());
+      ASSERT_TRUE((*sb)->SendTo(a_pub, msg).ok());
+    }
+    net.RunFor(Millis(3));
+  }
+  net.RunFor(Seconds(1));
+  CheckGolden("jitter_mangle_bandwidth_exchange", net.trace().Dump(),
+              5078587557033303129ULL, 45744u);
+}
+
 // The full Table 1 instrument: 380 devices measured by the NAT Check
 // reproduction. Not a trace, but the strongest end-to-end behavioral hash —
 // every mapping/filtering/rejection/hairpin decision in the fleet feeds it.
