@@ -211,28 +211,39 @@ bool EventLoop::Cancel(EventId id) {
 
 // --- Timer tier -------------------------------------------------------------
 
-void EventLoop::ScheduleTimerAt(SimTime at, TimerHandle* timer) {
+EventLoop::EventId EventLoop::ReserveSequence() {
+  EnsureSlotCapacity();
+  return (next_seq_++ << 1) | kTimerKindBit;
+}
+
+void EventLoop::ArmTimer(SimTime at, EventId id, TimerHandle* timer) {
   if (timer->state_ != TimerHandle::State::kIdle) {
     CancelTimer(timer);  // re-arm: the old deadline is dropped
   }
-  const int64_t t = std::max(at.micros(), now_.micros());
-  EnsureSlotCapacity();
-  const uint64_t seq = next_seq_++;
   timer->loop_ = this;
-  timer->id_ = (seq << 1) | kTimerKindBit;
-  timer->deadline_ = t;
+  timer->id_ = id;
+  timer->deadline_ = std::max(at.micros(), now_.micros());
   ++live_;
   obs::Set(metric_heap_depth_, static_cast<int64_t>(live_));
+}
+
+void EventLoop::ScheduleTimerAt(SimTime at, TimerHandle* timer) {
+  ArmTimer(at, ReserveSequence(), timer);
   // A deadline landing in an already-flushed slot (or any deadline with the
   // wheel disabled) goes straight to the heap with its original key; the
   // ordering argument never depends on which tier admitted the timer.
-  if (!wheel_enabled_ || SlotIndexFor(t) < wheel_cursor_) {
+  if (!wheel_enabled_ || SlotIndexFor(timer->deadline_) < wheel_cursor_) {
     obs::Inc(metric_timers_heap_);
     TimerToHeap(timer);
   } else {
     obs::Inc(metric_timers_wheel_);
     WheelFile(timer);
   }
+}
+
+void EventLoop::ScheduleReserved(SimTime at, EventId reserved, TimerHandle* timer) {
+  ArmTimer(at, reserved, timer);
+  TimerToHeap(timer);
 }
 
 bool EventLoop::CancelTimer(TimerHandle* timer) {

@@ -30,6 +30,12 @@
 // (SetTimerWheelEnabled(false) is the differential oracle for exactly that
 // claim). Both kinds of event share the sequence counter, so cross-tier ties
 // at the same instant also fire in schedule order.
+//
+// ReserveSequence/ScheduleReserved serve in-order channels (a Lan's delivery
+// queue): the channel takes each event's sequence when the event arises but
+// keeps only its earliest event armed, as a TimerHandle under that reserved
+// key. The heap then holds one entry per busy channel, and the pop sequence
+// is still the one a closure per event would give.
 
 #ifndef SRC_NETSIM_EVENT_LOOP_H_
 #define SRC_NETSIM_EVENT_LOOP_H_
@@ -142,6 +148,16 @@ class EventLoop {
   // Cancel an armed timer. Returns true if it was still pending.
   bool CancelTimer(TimerHandle* timer);
 
+  // In-order channels (the Lan delivery queues). ReserveSequence takes the
+  // insertion sequence a ScheduleAt call would take right now, without
+  // scheduling anything. ScheduleReserved later arms `timer` under that
+  // reserved (at, sequence) key, straight into the heap: no wheel, no
+  // loop.timers_* count. A channel that appends its events in (time,
+  // sequence) order and keeps only its head armed therefore dispatches each
+  // event exactly where a closure scheduled at reservation time would have.
+  EventId ReserveSequence();
+  void ScheduleReserved(SimTime at, EventId reserved, TimerHandle* timer);
+
   // Differential oracle switch: with the wheel off, timers go straight to
   // the heap at schedule time. Either mode produces the identical dispatch
   // sequence; tests compare trace dumps across the two to prove it. Flip
@@ -162,6 +178,8 @@ class EventLoop {
   // (e.g. two misconfigured nodes ping-ponging a packet forever).
   size_t RunUntilIdle(size_t max_events = 10'000'000);
 
+  // Events armed in the loop: closures and timers, with a busy in-order
+  // channel (ScheduleReserved) counting once however many events it holds.
   bool idle() const { return live_ == 0; }
   size_t pending_count() const { return live_; }
   uint64_t events_processed() const { return events_processed_; }
@@ -179,11 +197,12 @@ class EventLoop {
   void Reset();
 
   // Observability hookup (Network::EnableMetrics): `dispatched` counts every
-  // fired event, `heap_depth` tracks the pending-event level and its
-  // high-water mark, `timers_wheel`/`timers_heap` split timer arms by which
-  // tier admitted them, and `wheel_cascades` counts entries re-filed when a
-  // higher wheel level spills into a lower one. Any may be null; recording
-  // is allocation-free.
+  // fired event, `heap_depth` tracks the pending-event level (a busy
+  // in-order channel counts once) and its high-water mark, `timers_wheel`/
+  // `timers_heap` split ScheduleTimerAt/After arms by which tier admitted
+  // them, and `wheel_cascades` counts entries re-filed when a higher wheel
+  // level spills into a lower one. Any may be null; recording is
+  // allocation-free.
   void AttachMetrics(obs::Counter* dispatched, obs::Gauge* heap_depth,
                      obs::Counter* timers_wheel = nullptr, obs::Counter* timers_heap = nullptr,
                      obs::Counter* wheel_cascades = nullptr) {
@@ -259,6 +278,9 @@ class EventLoop {
   // lower-bound the deadlines inside), or INT64_MAX when the wheel is empty.
   int64_t WheelLowerBound();
 
+  // Point `timer` (re-armed if pending) at `at` under `id` and count it
+  // pending; the caller files it into a tier.
+  void ArmTimer(SimTime at, EventId id, TimerHandle* timer);
   // Move the timer into the heap tier: push its (deadline, id) key and index
   // the handle by id so cancellation and dispatch can find it.
   void TimerToHeap(TimerHandle* timer);

@@ -24,20 +24,26 @@ Lan::Lan(Network* network, std::string name, LanConfig config)
     metric_reordered_ = metric("reordered");
     metric_truncated_ = metric("truncated");
   }
+  queue_timer_.Bind<&Lan::DeliverQueued>(this);
 }
 
 void Lan::Attach(Node* node, int iface, Ipv4Address ip) {
-  attachments_.push_back(Attachment{node, iface, ip});
+  const auto index = static_cast<uint32_t>(attachments_.size());
+  attachments_.push_back(Attachment{node, iface, ip, kNoAttachment});
+  bool inserted = false;
+  uint32_t* owner = owners_.FindOrInsert(ip.bits(), &inserted);
+  if (inserted) {
+    *owner = index;
+    return;
+  }
+  uint32_t last = *owner;
+  while (attachments_[last].next_owner != kNoAttachment) {
+    last = attachments_[last].next_owner;
+  }
+  attachments_[last].next_owner = index;
 }
 
-bool Lan::HasAddress(Ipv4Address ip) const {
-  for (const auto& a : attachments_) {
-    if (a.ip == ip) {
-      return true;
-    }
-  }
-  return false;
-}
+bool Lan::HasAddress(Ipv4Address ip) const { return owners_.Contains(ip.bits()); }
 
 void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
   ++packets_;
@@ -67,20 +73,17 @@ void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
     }
   }
 
-  // Single scan: prefer an attachment owning next_hop on another node, but
-  // remember the first owner of any kind so a node may legitimately address
-  // itself (loopback-style) when nothing else matches.
+  // Prefer an attachment owning next_hop on another node, but fall back to
+  // the first owner of any kind so a node may legitimately address itself
+  // (loopback-style) when nothing else matches.
   const Attachment* target = nullptr;
-  for (const auto& a : attachments_) {
-    if (a.ip != next_hop) {
-      continue;
-    }
-    if (a.node != sender) {
-      target = &a;
-      break;
-    }
-    if (target == nullptr) {
-      target = &a;
+  if (const uint32_t* first = owners_.Find(next_hop.bits())) {
+    target = &attachments_[*first];
+    for (uint32_t i = *first; i != kNoAttachment; i = attachments_[i].next_owner) {
+      if (attachments_[i].node != sender) {
+        target = &attachments_[i];
+        break;
+      }
     }
   }
   if (target == nullptr) {
@@ -123,7 +126,7 @@ void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
     dup.node = target->node;
     dup.iface = target->iface;
     dup.packet = packet;  // copy; the original is parked below
-    network_->event_loop().ScheduleAfter(delay, [this, dup_slot] { Deliver(dup_slot); });
+    Schedule(delay, dup_slot);
   }
 
   const uint32_t slot = AcquireSlot();
@@ -131,7 +134,40 @@ void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
   pending.node = target->node;
   pending.iface = target->iface;
   pending.packet = std::move(packet);
-  network_->event_loop().ScheduleAfter(delay + extra_hold, [this, slot] { Deliver(slot); });
+  Schedule(delay + extra_hold, slot);
+}
+
+void Lan::Schedule(SimDuration delay, uint32_t slot) {
+  EventLoop& loop = network_->event_loop();
+  const SimTime at = loop.now() + delay;
+  if (queue_size_ != 0 && at.micros() < QueueAt(queue_size_ - 1).time) {
+    // Lands before the tail (jitter, a reorder hold): its own closure.
+    loop.ScheduleAt(at, [this, slot] { Deliver(slot); });
+    return;
+  }
+  if (queue_size_ == queue_.size()) {
+    // Full: unroll the ring so the head sits at index 0, then double it.
+    std::rotate(queue_.begin(), queue_.begin() + static_cast<ptrdiff_t>(queue_head_), queue_.end());
+    queue_.resize(std::max<size_t>(16, queue_.size() * 2));
+    queue_head_ = 0;
+  }
+  const EventLoop::EventId id = loop.ReserveSequence();
+  QueueAt(queue_size_++) = QueuedDelivery{at.micros(), id, slot};
+  if (queue_size_ == 1) {
+    loop.ScheduleReserved(at, id, &queue_timer_);
+  }
+}
+
+void Lan::DeliverQueued() {
+  // Re-arm for the next head before delivering: HandlePacket may transmit
+  // on this same Lan, appending behind it.
+  const uint32_t slot = QueueAt(0).slot;
+  queue_head_ = (queue_head_ + 1) & (queue_.size() - 1);
+  if (--queue_size_ != 0) {
+    network_->event_loop().ScheduleReserved(SimTime(QueueAt(0).time), QueueAt(0).id,
+                                            &queue_timer_);
+  }
+  Deliver(slot);
 }
 
 uint32_t Lan::AcquireSlot() {

@@ -14,9 +14,11 @@
 #include <vector>
 
 #include "src/netsim/address.h"
+#include "src/netsim/event_loop.h"
 #include "src/netsim/packet.h"
 #include "src/netsim/sim_time.h"
 #include "src/netsim/trace.h"
+#include "src/util/flat_hash.h"
 
 namespace natpunch {
 
@@ -104,22 +106,39 @@ class Lan {
   uint64_t bytes_transmitted() const { return bytes_; }
 
  private:
+  static constexpr uint32_t kNoAttachment = UINT32_MAX;
+
   struct Attachment {
     Node* node;
     int iface;
     Ipv4Address ip;
+    uint32_t next_owner;  // next attachment owning `ip`, in attach order
   };
 
-  // An in-flight delivery parked in a pooled slot so the scheduled callback
-  // only captures {this, slot} — small and trivially copyable, so
-  // std::function keeps it in its small-buffer storage instead of heap-
-  // allocating a closure (with the Packet inside it) for every packet.
+  // An in-flight delivery parked in a pooled slot; the link queue (or, out
+  // of order, the scheduled closure) refers to it by index.
   struct PendingDelivery {
     Node* node = nullptr;
     int iface = 0;
     Packet packet;
   };
 
+  // One entry of the in-order delivery queue: the delivery's time and the
+  // insertion sequence reserved for it at transmit.
+  struct QueuedDelivery {
+    int64_t time;  // micros
+    EventLoop::EventId id;
+    uint32_t slot;
+  };
+
+  // Hand the parked delivery in `slot` to the event loop, due `delay` from
+  // now: appended to the link queue when not earlier than its tail, else
+  // scheduled as its own closure.
+  void Schedule(SimDuration delay, uint32_t slot);
+  // Queue head's timer: pop the head, re-arm for the next one, deliver.
+  void DeliverQueued();
+  // The i-th queued delivery, counting from the head.
+  QueuedDelivery& QueueAt(size_t i) { return queue_[(queue_head_ + i) & (queue_.size() - 1)]; }
   void Deliver(uint32_t slot);
   // Applies the MangleConfig to a packet that survived the loss models.
   // Mutates the payload in place (corrupt/truncate) and reports via `extra`
@@ -135,11 +154,18 @@ class Lan {
   bool up_ = true;
   bool burst_bad_ = false;  // Gilbert-Elliott channel state
   std::vector<Attachment> attachments_;
+  FlatHashMap<uint32_t, uint32_t> owners_;  // ip bits -> first attachment owning it
   SimTime medium_free_at_;  // when the shared medium finishes its last frame
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;
   std::vector<PendingDelivery> deliveries_;
   std::vector<uint32_t> free_slots_;
+  // In-order delivery queue: a ring (power-of-two size, never shrunk)
+  // sorted by (time, sequence), whose head alone is armed in the loop.
+  std::vector<QueuedDelivery> queue_;
+  size_t queue_head_ = 0;
+  size_t queue_size_ = 0;
+  TimerHandle queue_timer_;
   // Null when the Network has no metrics registry (obs::Inc is null-safe).
   obs::Counter* metric_corrupted_ = nullptr;
   obs::Counter* metric_duplicated_ = nullptr;

@@ -69,8 +69,8 @@ class Payload {
   }
 
   void assign(const uint8_t* data, size_t size) {
-    Reserve(size);
-    if (size > 0) std::memcpy(this->data(), data, size);
+    uint8_t* dst = Reserve(size);
+    if (size > 0) std::memcpy(dst, data, size);
     size_ = static_cast<uint32_t>(size);
   }
 
@@ -115,12 +115,14 @@ class Payload {
   bool is_heap() const { return heap_capacity_ != 0; }
   size_t Capacity() const { return is_heap() ? heap_capacity_ : kInlineCapacity; }
 
-  // Ensures capacity >= size without preserving contents.
-  void Reserve(size_t size) {
-    if (size <= Capacity()) return;
+  // Ensures capacity >= size without preserving contents; returns the
+  // buffer to write.
+  uint8_t* Reserve(size_t size) {
+    if (size <= Capacity()) return data();
     Release();
     heap_data_ = new uint8_t[size];
     heap_capacity_ = static_cast<uint32_t>(size);
+    return heap_data_;
   }
 
   void Release() {

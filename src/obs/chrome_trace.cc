@@ -47,6 +47,10 @@ std::string_view TraceEventCategory(TraceEvent event) {
       return "drop";
     case TraceEvent::kLinkDown:
     case TraceEvent::kFault:
+    case TraceEvent::kCorrupt:
+    case TraceEvent::kDuplicate:
+    case TraceEvent::kReorder:
+    case TraceEvent::kTruncate:
       return "fault";
   }
   return "net";

@@ -5,10 +5,16 @@
 // allocations, rendezvous registration records). Allocating each one with
 // operator new costs a malloc header and scatters them across the heap;
 // freeing returns the memory to malloc but never to the pool that needs it
-// next. A Slab<T> instead carves fixed-size chunks ("slabs") of N objects,
-// hands slots out from an intrusive freelist, and recycles every freed slot
-// in O(1) — so a steady-state population churning sessions never grows the
-// pool past its high-water mark, and sizeof(T) is the whole per-object cost.
+// next. A Slab<T> instead carves chunks ("slabs") of objects, hands slots
+// out from an intrusive freelist, and recycles every freed slot in O(1) —
+// so a steady-state population churning sessions never grows the pool past
+// its high-water mark, and sizeof(T) is the whole per-object cost.
+//
+// Chunks grow geometrically: the first holds one object and each later one
+// doubles the pool's capacity, up to kObjectsPerSlab objects per chunk. A
+// pool that only ever holds one or two objects (a churn peer's session
+// pools) then costs one or two slots, not a chunk of hundreds, while a large
+// pool still grows in full kObjectsPerSlab chunks.
 //
 // Guarantees and limits:
 //  * New()/Delete() are O(1); Delete returns the slot to the freelist
@@ -29,6 +35,7 @@
 #ifndef SRC_UTIL_SLAB_H_
 #define SRC_UTIL_SLAB_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -59,8 +66,8 @@ class Slab {
   Slab& operator=(const Slab&) = delete;
 
   // Construct a T in a recycled (or fresh) slot. Only allocates when the
-  // freelist is empty — once per kObjectsPerSlab objects at the high-water
-  // mark, never again after it.
+  // freelist is empty — once per chunk at the high-water mark, never again
+  // after it.
   template <typename... Args>
   T* New(Args&&... args) {
     FreeSlot* slot = free_head_;
@@ -112,7 +119,7 @@ class Slab {
     ReleaseSlabs();
     free_head_ = nullptr;
     slab_head_ = nullptr;
-    live_ = peak_ = slab_count_ = 0;
+    live_ = peak_ = slab_count_ = capacity_ = 0;
     obs::Set(metric_live_, 0);
     obs::Set(metric_slabs_, 0);
   }
@@ -120,15 +127,15 @@ class Slab {
   size_t live() const { return live_; }
   size_t peak() const { return peak_; }
   size_t slab_count() const { return slab_count_; }
-  size_t capacity() const { return slab_count_ * kObjectsPerSlab; }
+  size_t capacity() const { return capacity_; }
 
   SlabStats stats() const {
     SlabStats s;
     s.live = live_;
     s.peak = peak_;
     s.slabs = slab_count_;
-    s.capacity = capacity();
-    s.slab_bytes = capacity() * kSlotSize;
+    s.capacity = capacity_;
+    s.slab_bytes = capacity_ * kSlotSize;
     return s;
   }
 
@@ -158,21 +165,32 @@ class Slab {
   static constexpr size_t kSlotAlign =
       alignof(T) > alignof(FreeSlot) ? alignof(T) : alignof(FreeSlot);
 
+  static_assert(kSlotAlign <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "slab chunks come from plain operator new");
+
+  // A chunk is this header followed by `count` slots, in one allocation.
   struct SlabBlock {
-    SlabBlock* next = nullptr;
-    alignas(kSlotAlign) unsigned char storage[kSlotSize * kObjectsPerSlab];
+    SlabBlock* next;
+    size_t count;
   };
+  static constexpr size_t kHeaderSize =
+      (sizeof(SlabBlock) + kSlotAlign - 1) / kSlotAlign * kSlotAlign;
+
+  static FreeSlot* SlotAt(SlabBlock* block, size_t i) {
+    return reinterpret_cast<FreeSlot*>(reinterpret_cast<unsigned char*>(block) + kHeaderSize +
+                                       i * kSlotSize);
+  }
 
   void Grow() {
-    auto* block = new SlabBlock;
-    block->next = slab_head_;
-    slab_head_ = block;
+    const size_t count = std::clamp<size_t>(capacity_, 1, kObjectsPerSlab);
+    slab_head_ = new (::operator new(kHeaderSize + count * kSlotSize)) SlabBlock{slab_head_, count};
     ++slab_count_;
+    capacity_ += count;
     obs::Set(metric_slabs_, static_cast<int64_t>(slab_count_));
     // Thread the new slots onto the freelist back-to-front so allocation
     // walks the block front-to-back (friendlier to the prefetcher).
-    for (size_t i = kObjectsPerSlab; i-- > 0;) {
-      auto* slot = reinterpret_cast<FreeSlot*>(block->storage + i * kSlotSize);
+    for (size_t i = count; i-- > 0;) {
+      FreeSlot* slot = SlotAt(slab_head_, i);
       slot->next = free_head_;
       free_head_ = slot;
     }
@@ -192,8 +210,8 @@ class Slab {
                   "Delete() them through the owning container first, then Reset()");
     free_head_ = nullptr;
     for (SlabBlock* block = slab_head_; block != nullptr; block = block->next) {
-      for (size_t i = kObjectsPerSlab; i-- > 0;) {
-        auto* slot = reinterpret_cast<FreeSlot*>(block->storage + i * kSlotSize);
+      for (size_t i = block->count; i-- > 0;) {
+        FreeSlot* slot = SlotAt(block, i);
         slot->next = free_head_;
         free_head_ = slot;
       }
@@ -205,7 +223,7 @@ class Slab {
   void ReleaseSlabs() {
     while (slab_head_ != nullptr) {
       SlabBlock* next = slab_head_->next;
-      delete slab_head_;
+      ::operator delete(slab_head_);
       slab_head_ = next;
     }
   }
@@ -215,6 +233,7 @@ class Slab {
   size_t live_ = 0;
   size_t peak_ = 0;
   size_t slab_count_ = 0;
+  size_t capacity_ = 0;  // slots across all slabs
   obs::Gauge* metric_live_ = nullptr;
   obs::Gauge* metric_peak_ = nullptr;
   obs::Gauge* metric_slabs_ = nullptr;

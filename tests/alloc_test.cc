@@ -93,10 +93,13 @@ void* operator new[](size_t size) {
   return p;
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+// Out of line on purpose: inlined into a caller, `free` of a pointer from a
+// new-expression reads to gcc as a mismatched pair (-Wmismatched-new-delete),
+// although the replacement operator new above took it from malloc.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace natpunch {
 namespace {
@@ -130,8 +133,8 @@ TEST(ZeroAllocTest, SteadyStatePunchedExchangeAllocatesNothing) {
   // Punch + warm-up. The first unsolicited arrivals are dropped; once both
   // sides have sent, the holes stay open. The warm-up must process at least
   // as many rounds as the measured phase so every arena (event-loop ring,
-  // trace records vector, NAT tables, LAN delivery slots) reaches its
-  // high-water capacity before counting starts.
+  // trace records vector, NAT tables, LAN delivery slots and queues)
+  // reaches its high-water capacity before counting starts.
   constexpr int kRounds = 100;
   for (int i = 0; i < kRounds + 20; ++i) {
     ASSERT_TRUE((*sa)->SendTo(b_pub, msg, sizeof(msg)).ok());
@@ -270,8 +273,9 @@ TEST(ZeroAllocTest, SwarmSteadyStateKeepalivesAndDataAllocateNothing) {
   };
 
   // Warm-up past every high-water mark (event ring, wheel slot lists, heap
-  // vector, flat-hash tables, socket buffers, trace record vector) AND
-  // through several full keepalive generations, then count.
+  // vector, flat-hash tables, LAN delivery queues, socket buffers, trace
+  // record vector) AND through several full keepalive generations, then
+  // count.
   for (int i = 0; i < 60; ++i) {
     round();
   }

@@ -10,8 +10,10 @@
 
 #include <cctype>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
+#include <string_view>
 
 #include "src/core/udp_puncher.h"
 #include "src/fleet/fleet.h"
@@ -359,6 +361,47 @@ TEST(ChromeTraceTest, ExportIsStructurallyValidForPerfetto) {
                 CountOccurrences(json, "\"cat\":\"drop\"") +
                 CountOccurrences(json, "\"cat\":\"fault\""),
             net.trace().records().size());
+}
+
+// Every TraceEvent value, in declaration order, with the Perfetto category
+// it must export under: the mangle faults are faults, not network traffic.
+TEST(ChromeTraceTest, EveryTraceEventHasItsCategory) {
+  struct Want {
+    TraceEvent event;
+    std::string_view category;
+  };
+  constexpr Want kWant[] = {
+      {TraceEvent::kSend, "net"},
+      {TraceEvent::kDeliver, "net"},
+      {TraceEvent::kForward, "net"},
+      {TraceEvent::kDropLoss, "drop"},
+      {TraceEvent::kDropNoRoute, "drop"},
+      {TraceEvent::kDropNoNextHop, "drop"},
+      {TraceEvent::kDropTtl, "drop"},
+      {TraceEvent::kDropPrivateLeak, "drop"},
+      {TraceEvent::kNatTranslateOut, "nat"},
+      {TraceEvent::kNatTranslateIn, "nat"},
+      {TraceEvent::kNatHairpin, "nat"},
+      {TraceEvent::kNatDropUnsolicited, "drop"},
+      {TraceEvent::kNatRejectRst, "drop"},
+      {TraceEvent::kNatRejectIcmp, "drop"},
+      {TraceEvent::kNatDropNoMapping, "drop"},
+      {TraceEvent::kNatPayloadRewrite, "nat"},
+      {TraceEvent::kLinkDown, "fault"},
+      {TraceEvent::kDropBurst, "drop"},
+      {TraceEvent::kFault, "fault"},
+      {TraceEvent::kCorrupt, "fault"},
+      {TraceEvent::kDuplicate, "fault"},
+      {TraceEvent::kReorder, "fault"},
+      {TraceEvent::kTruncate, "fault"},
+  };
+  static_assert(std::size(kWant) == static_cast<size_t>(TraceEvent::kTruncate) + 1,
+                "one row per TraceEvent value");
+  for (size_t i = 0; i < std::size(kWant); ++i) {
+    const auto event = static_cast<TraceEvent>(i);
+    ASSERT_EQ(kWant[i].event, event) << "rows must follow declaration order";
+    EXPECT_EQ(obs::TraceEventCategory(event), kWant[i].category) << TraceEventName(event);
+  }
 }
 
 TEST(ChromeTraceTest, EmptyTraceStillValid) {

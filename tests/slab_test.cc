@@ -88,10 +88,38 @@ TEST(SlabTest, AddressesStableAcrossGrowth) {
     p->a = static_cast<uint64_t>(i);
     objs.push_back(p);
   }
-  EXPECT_EQ(pool.slab_count(), 16u);
+  EXPECT_EQ(pool.slab_count(), 18u);  // 1 + 1 + 2, then fifteen chunks of 4
   for (int i = 0; i < 64; ++i) {
     EXPECT_EQ(objs[i]->a, static_cast<uint64_t>(i)) << "object " << i << " moved or corrupted";
   }
+}
+
+// A pool that only ever holds one object pays for one slot, not a chunk of
+// kObjectsPerSlab: each peer of a large population owns session pools that
+// hold one session apiece.
+TEST(SlabTest, OneObjectPoolHoldsOnlyTheFirstChunk) {
+  struct Session {
+    uint8_t bytes[504];  // ResilientSession's footprint budget
+  };
+  Slab<Session, 256> pool;
+  ASSERT_NE(pool.New(), nullptr);
+  EXPECT_EQ(pool.slab_count(), 1u);
+  EXPECT_EQ(pool.capacity(), 1u);
+  EXPECT_EQ(pool.stats().slab_bytes, sizeof(Session));
+}
+
+// Each new chunk doubles the capacity until chunks reach kObjectsPerSlab,
+// then the pool grows by whole chunks.
+TEST(SlabTest, ChunksGrowGeometricallyUpToTheChunkSize) {
+  Slab<Pod, 8> pool;
+  std::vector<size_t> capacities;
+  for (int i = 0; i < 40; ++i) {
+    pool.New();
+    if (capacities.empty() || capacities.back() != pool.capacity()) {
+      capacities.push_back(pool.capacity());
+    }
+  }
+  EXPECT_EQ(capacities, (std::vector<size_t>{1, 2, 4, 8, 16, 24, 32, 40}));
 }
 
 TEST(SlabTest, WarmedPoolNeverGrowsPastHighWaterMark) {
@@ -101,7 +129,7 @@ TEST(SlabTest, WarmedPoolNeverGrowsPastHighWaterMark) {
     objs.push_back(pool.New());
   }
   const size_t slabs_at_peak = pool.slab_count();
-  EXPECT_EQ(slabs_at_peak, 3u);
+  EXPECT_EQ(slabs_at_peak, 6u);  // 1 + 1 + 2 + 4 + 8 + 8
   // Churn the full population many times over: the freelist must absorb it.
   for (int round = 0; round < 10; ++round) {
     for (Pod* p : objs) {
@@ -199,7 +227,7 @@ TEST(SlabTest, StatsAccounting) {
   s = pool.stats();
   EXPECT_EQ(s.live, 9u);
   EXPECT_EQ(s.peak, 9u);
-  EXPECT_EQ(s.slabs, 2u);
+  EXPECT_EQ(s.slabs, 5u);  // 1 + 1 + 2 + 4 + 8
   EXPECT_EQ(s.capacity, 16u);
   EXPECT_EQ(s.slab_bytes, 16u * sizeof(Pod));
 
@@ -222,7 +250,7 @@ TEST(SlabTest, MetricsGaugesTrackPool) {
   }
   EXPECT_EQ(registry.GetGauge("mem.test_pool.live")->value(), 6);
   EXPECT_EQ(registry.GetGauge("mem.test_pool.peak")->value(), 6);
-  EXPECT_EQ(registry.GetGauge("mem.test_pool.slabs")->value(), 2);
+  EXPECT_EQ(registry.GetGauge("mem.test_pool.slabs")->value(), 4);  // 1 + 1 + 2 + 4
   for (Pod* p : objs) {
     pool.Delete(p);
   }
