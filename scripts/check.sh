@@ -10,12 +10,13 @@
 #                                    # tests under -fsanitize=thread and
 #                                    # re-run them (guards RunFleetParallel
 #                                    # against data races)
-#   NATPUNCH_ASAN=1 scripts/check.sh # ...then rebuild the chaos/failure
-#                                    # and LAN/Network tests under
-#                                    # -fsanitize=address,undefined and re-run
-#                                    # them (fault injection, session teardown
-#                                    # and Network::Reset with packets in
-#                                    # flight are where lifetime bugs hide)
+#   NATPUNCH_ASAN=1 scripts/check.sh # ...then rebuild the chaos/failure,
+#                                    # LAN/Network and event-loop/timer-wheel
+#                                    # tests under -fsanitize=address,undefined
+#                                    # and re-run them (fault injection,
+#                                    # session teardown, Network::Reset with
+#                                    # packets in flight, and closure-slot
+#                                    # reuse are where lifetime bugs hide)
 #
 # The compiler comes from the standard CC/CXX environment variables (CMake
 # picks them up on a fresh configure); use a distinct BUILD_DIR per compiler
@@ -84,7 +85,8 @@ if [[ "${NATPUNCH_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${NATPUNCH_ASAN:-0}" == "1" ]]; then
-  echo "==== ASan/UBSan pass: rebuilding chaos/failure/LAN tests with -fsanitize=address,undefined ===="
-  sanitizer_pass "$ASAN_BUILD_DIR" address,undefined 'Chaos|Failure|LanTest|NetworkTest' \
-    chaos_test failure_test netsim_test
+  echo "==== ASan/UBSan pass: rebuilding chaos/failure/LAN/event-loop tests with -fsanitize=address,undefined ===="
+  sanitizer_pass "$ASAN_BUILD_DIR" address,undefined \
+    'Chaos|Failure|LanTest|NetworkTest|EventLoopTest|TimerWheel' \
+    chaos_test failure_test netsim_test timer_wheel_test
 fi

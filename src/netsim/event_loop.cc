@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <utility>
 
@@ -13,6 +15,12 @@ namespace {
 constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
 
 int Ctz(uint64_t bits) { return std::countr_zero(bits); }
+
+// An id field overflowed: ids would collide or misorder, so stop the run.
+[[noreturn]] void WidthExhausted(const char* field) {
+  std::fprintf(stderr, "EventLoop: %s space exhausted (see DESIGN.md \"Closure pool\")\n", field);
+  std::abort();
+}
 }  // namespace
 
 void EventLoop::HeapPush(HeapEntry entry) {
@@ -60,57 +68,48 @@ void EventLoop::HeapPopTop() {
 
 EventLoop::EventId EventLoop::ScheduleAt(SimTime at, std::function<void()> fn) {
   const int64_t t = std::max(at.micros(), now_.micros());
-  EnsureSlotCapacity();
-  const uint64_t seq = next_seq_++;
-  const EventId id = seq << 1;
-  Slot& slot = slots_[static_cast<size_t>(seq) & ring_mask_];
+  uint32_t index = free_head_;
+  if (index != kNoSlot) {
+    free_head_ = slots_[index].next_free;
+  } else {
+    if (slots_.size() == (size_t{1} << kSlotBits)) {
+      WidthExhausted("closure slot index");
+    }
+    index = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& slot = slots_[index];
   slot.fn = std::move(fn);
-  slot.pending = true;
+  slot.seq = NextSequence();
+  const EventId id = (slot.seq << kSeqShift) | (uint64_t{index} << 1);
   HeapPush(HeapEntry{t, id});
   ++live_;
   obs::Set(metric_heap_depth_, static_cast<int64_t>(live_));
   return id;
 }
 
-void EventLoop::EnsureSlotCapacity() {
-  if (next_seq_ - base_seq_ < slots_.size()) {
-    return;
+uint64_t EventLoop::NextSequence() {
+  if (next_seq_ == (uint64_t{1} << kSeqBits)) {
+    WidthExhausted("insertion sequence");
   }
-  if (slots_.empty()) {
-    slots_.resize(64);
-    ring_mask_ = 63;
-    return;
-  }
-  // Timer sequences retire without a dispatch or cancel of their own, so the
-  // front of the window may be reclaimable even though nothing compacted it;
-  // try that before paying for a bigger ring.
-  CompactFront();
-  if (next_seq_ - base_seq_ < slots_.size()) {
-    return;
-  }
-  // The live sequence window filled the ring: double it and re-place the
-  // window at the new mask. Amortized across the run; steady state never
-  // gets here.
-  std::vector<Slot> bigger(slots_.size() * 2);
-  const size_t new_mask = bigger.size() - 1;
-  for (uint64_t seq = base_seq_; seq < next_seq_; ++seq) {
-    bigger[static_cast<size_t>(seq) & new_mask] =
-        std::move(slots_[static_cast<size_t>(seq) & ring_mask_]);
-  }
-  slots_ = std::move(bigger);
-  ring_mask_ = new_mask;
+  return next_seq_++;
+}
+
+std::function<void()> EventLoop::ReleaseSlot(uint32_t index) {
+  Slot& slot = slots_[index];
+  std::function<void()> fn = std::move(slot.fn);
+  slot.fn = nullptr;
+  slot.seq = kFreeSeq;
+  slot.next_free = free_head_;
+  free_head_ = index;
+  return fn;
 }
 
 void EventLoop::Reset() {
-  // Only the live sequence window can hold closures: fired and cancelled
-  // slots are nulled on retirement, and sequences below base_seq_ were
-  // compacted past. A fleet worker Resets once per device simulation, so
-  // clearing the (typically tiny) window instead of the whole ring matters
-  // at scale.
-  for (uint64_t seq = base_seq_; seq < next_seq_; ++seq) {
-    Slot& slot = slots_[static_cast<size_t>(seq) & ring_mask_];
-    slot.fn = nullptr;  // destroys pending closures (and anything they own)
-    slot.pending = false;
+  for (uint32_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].seq != kFreeSeq) {
+      ReleaseSlot(i);  // destroys the pending closure (and anything it owns)
+    }
   }
   // Detach every armed timer so its handle reads !pending() and a later
   // destructor or re-arm is safe. Heap-resident timers are reachable through
@@ -154,66 +153,36 @@ void EventLoop::Reset() {
   live_ = 0;
   now_ = SimTime();
   next_seq_ = 1;
-  base_seq_ = 1;
   events_processed_ = 0;
-}
-
-EventLoop::Slot* EventLoop::SlotFor(EventId id) {
-  if (IsTimerId(id)) {
-    return nullptr;
-  }
-  const uint64_t seq = SeqOf(id);
-  if (seq < base_seq_ || seq >= next_seq_) {
-    return nullptr;
-  }
-  return &slots_[static_cast<size_t>(seq) & ring_mask_];
-}
-
-void EventLoop::CompactFront() {
-  // Timer sequences never mark their ring slot pending, so a long-armed
-  // keepalive parked in the wheel does not pin the window open; only live
-  // closure events do.
-  while (base_seq_ < next_seq_ && !slots_[static_cast<size_t>(base_seq_) & ring_mask_].pending) {
-    ++base_seq_;
-  }
 }
 
 void EventLoop::PopDead() {
   while (!heap_.empty()) {
+    // A timer key whose id is absent from heap_timers_ was cancelled or
+    // re-armed after migrating to the heap; a closure key whose slot holds
+    // another sequence was cancelled, and the slot may since hold a newer
+    // closure. Either stale key dies here.
     const EventId id = heap_.front().id;
-    if (IsTimerId(id)) {
-      // A timer key whose id is absent from heap_timers_ was cancelled or
-      // re-armed after migrating to the heap; the stale key dies here.
-      if (heap_timers_.Find(id) != nullptr) {
-        return;
-      }
-    } else {
-      Slot* slot = SlotFor(id);
-      if (slot != nullptr && slot->pending) {
-        return;
-      }
+    if (IsTimerId(id) ? heap_timers_.Find(id) != nullptr : ClosurePending(id)) {
+      return;
     }
     HeapPopTop();
   }
 }
 
 bool EventLoop::Cancel(EventId id) {
-  Slot* slot = SlotFor(id);
-  if (slot == nullptr || !slot->pending) {
+  if (IsTimerId(id) || SlotOf(id) >= slots_.size() || !ClosurePending(id)) {
     return false;
   }
-  slot->pending = false;
-  slot->fn = nullptr;  // tombstone: the heap entry dies lazily in PopDead
+  ReleaseSlot(SlotOf(id));  // the heap entry dies lazily in PopDead
   --live_;
-  CompactFront();
   return true;
 }
 
 // --- Timer tier -------------------------------------------------------------
 
 EventLoop::EventId EventLoop::ReserveSequence() {
-  EnsureSlotCapacity();
-  return (next_seq_++ << 1) | kTimerKindBit;
+  return (NextSequence() << kSeqShift) | kTimerKindBit;
 }
 
 void EventLoop::ArmTimer(SimTime at, EventId id, TimerHandle* timer) {
@@ -494,12 +463,8 @@ void EventLoop::DispatchTop() {
     timer->thunk_(timer);  // may re-arm the handle
     return;
   }
-  Slot* slot = SlotFor(top.id);
-  std::function<void()> fn = std::move(slot->fn);
-  slot->pending = false;
-  slot->fn = nullptr;
+  std::function<void()> fn = ReleaseSlot(SlotOf(top.id));
   --live_;
-  CompactFront();  // `slot` is dead past this point
   now_ = SimTime(top.time);
   ++events_processed_;
   obs::Inc(metric_dispatched_);

@@ -10,9 +10,11 @@
 //
 //  * ScheduleAt/ScheduleAfter — closure events (packet deliveries, one-shot
 //    control work). A 4-ary min-heap of (time, sequence) keys with lazy
-//    cancellation; callbacks live in a power-of-two ring buffer indexed by
-//    sequence, which gives O(1) id lookup with no hashing and a steady-state
-//    allocation-free packet path.
+//    cancellation; callbacks live in a pool of slots recycled through a free
+//    list, and each id names its slot, which gives O(1) id lookup with no
+//    hashing and a steady-state allocation-free packet path. The pool holds
+//    as many slots as closures were ever pending at once, however long one
+//    of them waits.
 //
 //  * ScheduleTimerAt/ScheduleTimerAfter — intrusive TimerHandle events for
 //    the coarse periodic tier (keepalives, NAT mapping expiry, relay
@@ -187,8 +189,9 @@ class EventLoop {
   size_t wheel_pending() const { return wheel_size_; }
 
   // Return to the pristine just-constructed state (clock at 0, no pending
-  // events, counters zeroed) while KEEPING the heap, ring, and timer-map
-  // capacities, so a reused loop schedules without allocating. Pending
+  // events, counters zeroed) while KEEPING the heap, closure-pool, and
+  // timer-map capacities, so a reused loop schedules without allocating.
+  // Ids issued before a Reset must not be passed to Cancel after it. Pending
   // closures are destroyed and armed timers detach (their handles read
   // !pending()). Lets fleet workers run thousands of device simulations on
   // one arena. Attached metrics handles and the wheel-enabled flag survive a
@@ -214,17 +217,28 @@ class EventLoop {
   }
 
  private:
-  // Event ids carry the scheduling tier in bit 0 (0 = closure event, 1 =
-  // timer) over a shared sequence counter, so (time, id) comparisons order
+  // Event id layout, high bits to low: the insertion sequence (kSeqBits),
+  // the closure's pool slot (kSlotBits, zero for a timer), then the tier bit
+  // (0 = closure event, 1 = timer). Both tiers share the sequence counter
+  // and it sits above everything else, so (time, id) comparisons order
   // cross-tier ties by schedule order and the heap entry stays 16 bytes.
+  // ScheduleAt and NextSequence enforce both widths in every build; DESIGN.md
+  // "Closure pool" says why they suffice.
   static constexpr uint64_t kTimerKindBit = 1;
-  static uint64_t SeqOf(EventId id) { return id >> 1; }
+  static constexpr int kSlotBits = 23;
+  static constexpr int kSeqShift = kSlotBits + 1;
+  static constexpr int kSeqBits = 64 - kSeqShift;
+  static uint64_t SeqOf(EventId id) { return id >> kSeqShift; }
+  static uint32_t SlotOf(EventId id) {
+    return static_cast<uint32_t>(id >> 1) & ((1u << kSlotBits) - 1);
+  }
   static bool IsTimerId(EventId id) { return (id & kTimerKindBit) != 0; }
 
   struct HeapEntry {
     int64_t time;  // micros
     EventId id;
   };
+  static_assert(sizeof(HeapEntry) == 16, "four heap entries share a cache line");
   static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
     return a.time < b.time || (a.time == b.time && a.id < b.id);
   }
@@ -232,9 +246,15 @@ class EventLoop {
   void HeapPush(HeapEntry entry);
   void HeapPopTop();
 
+  // A closure slot. `seq` is the sequence of the pending closure it holds,
+  // kFreeSeq while the slot is on the free list; an id whose sequence
+  // differs from its slot's names a closure that fired or was cancelled.
+  static constexpr uint64_t kFreeSeq = ~uint64_t{0};
+  static constexpr uint32_t kNoSlot = ~uint32_t{0};
   struct Slot {
     std::function<void()> fn;
-    bool pending = false;
+    uint64_t seq = kFreeSeq;
+    uint32_t next_free = kNoSlot;  // free-list link while seq == kFreeSeq
   };
 
   // --- Hierarchical timing wheel (timer staging tier) -----------------------
@@ -290,28 +310,28 @@ class EventLoop {
   // nothing is due by `limit`.
   bool PrepareTop(int64_t limit);
 
-  // Slot for a closure event id, or nullptr if the id was never issued /
-  // already retired out of the window.
-  Slot* SlotFor(EventId id);
+  // Take the next insertion sequence.
+  uint64_t NextSequence();
+  // Whether the closure `id` names is still pending in its slot.
+  bool ClosurePending(EventId id) const { return slots_[SlotOf(id)].seq == SeqOf(id); }
+  // Put slot `index` on the free list and hand back its closure, so the
+  // closure dies (or runs) only once the pool is consistent again.
+  std::function<void()> ReleaseSlot(uint32_t index);
   // Pop and run the heap top. Precondition: PrepareTop() returned true (the
   // top is live and every earlier timer has been flushed from the wheel).
   void DispatchTop();
-  // Drop dead entries off the heap top: tombstoned closure slots and timer
-  // ids no longer present in heap_timers_ (cancelled or re-armed).
+  // Drop dead entries off the heap top: closure ids whose slot no longer
+  // holds their sequence and timer ids no longer present in heap_timers_
+  // (cancelled or re-armed).
   void PopDead();
-  // Retire fully-processed slots from the front of the sequence window.
-  void CompactFront();
-  // Make room in the ring for one more sequence in [base_seq_, next_seq_].
-  void EnsureSlotCapacity();
 
   SimTime now_;
   uint64_t next_seq_ = 1;
-  uint64_t base_seq_ = 1;  // earliest sequence still in the ring window
   uint64_t events_processed_ = 0;
   size_t live_ = 0;  // scheduled, not yet fired or cancelled (both tiers)
   std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;  // ring buffer; size is a power of two
-  size_t ring_mask_ = 0;     // slots_.size() - 1
+  std::vector<Slot> slots_;       // closure pool; never shrinks
+  uint32_t free_head_ = kNoSlot;  // first free slot in slots_
 
   // Timer tier state. heap_timers_ maps the id of every live heap-resident
   // timer to its handle; a heap entry whose id misses the map is a stale key

@@ -132,7 +132,7 @@ TEST(ZeroAllocTest, SteadyStatePunchedExchangeAllocatesNothing) {
 
   // Punch + warm-up. The first unsolicited arrivals are dropped; once both
   // sides have sent, the holes stay open. The warm-up must process at least
-  // as many rounds as the measured phase so every arena (event-loop ring,
+  // as many rounds as the measured phase so every arena (closure pool,
   // trace records vector, NAT tables, LAN delivery slots and queues)
   // reaches its high-water capacity before counting starts.
   constexpr int kRounds = 100;
@@ -272,7 +272,7 @@ TEST(ZeroAllocTest, SwarmSteadyStateKeepalivesAndDataAllocateNothing) {
     net.RunFor(Millis(500));
   };
 
-  // Warm-up past every high-water mark (event ring, wheel slot lists, heap
+  // Warm-up past every high-water mark (closure pool, wheel slot lists, heap
   // vector, flat-hash tables, LAN delivery queues, socket buffers, trace
   // record vector) AND through several full keepalive generations, then
   // count.
@@ -348,7 +348,7 @@ TEST(ZeroAllocTest, TimerRearmChurnAndResetReuseAllocateNothing) {
   g_counting.store(true);
   loop.RunUntil(SimTime(Seconds(1200).micros()));
   // Reset idles every pending handle; re-arming afterwards reuses the same
-  // arenas (ring, wheel lists, heap vector, timer hash) without growing.
+  // arenas (closure pool, wheel lists, heap vector, timer hash) without growing.
   loop.Reset();
   arm_all();
   loop.RunUntil(SimTime(Seconds(600).micros()));
@@ -359,6 +359,57 @@ TEST(ZeroAllocTest, TimerRearmChurnAndResetReuseAllocateNothing) {
     total += t.fired;
   }
   EXPECT_GT(total, 2000u);  // the churn really ran
+  EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
+}
+
+TEST(ZeroAllocTest, LongPendingClosureKeepsTimerTrafficAllocationFree) {
+  // A closure that waits a long time (a punch deadline, a rendezvous
+  // timeout) must not make the loop's memory grow with the sequences issued
+  // while it waits. A 10 us self-re-arming timer takes ~2M sequences in
+  // each counted phase below while an hour-long closure stays pending; the
+  // second phase starts with a Reset() that discards the pending closure.
+  struct Tick {
+    EventLoop* loop = nullptr;
+    uint64_t fired = 0;
+    TimerHandle handle;
+    void Fire() {
+      ++fired;
+      loop->ScheduleTimerAfter(Micros(10), &handle);
+    }
+  };
+  EventLoop loop;
+  Tick tick;
+  tick.loop = &loop;
+  tick.handle.Bind<&Tick::Fire>(&tick);
+  bool closure_fired = false;
+  const auto start = [&] {
+    loop.ScheduleAfter(Seconds(3600), [&closure_fired] { closure_fired = true; });
+    loop.ScheduleTimerAfter(Micros(10), &tick.handle);
+  };
+  start();
+  loop.RunUntil(SimTime(Seconds(1).micros()));  // warm every arena
+
+  g_allocs.store(0);
+  g_samples.store(0);
+  g_counting.store(true);
+  uint64_t fired_before = tick.fired;
+  loop.RunUntil(SimTime(Seconds(20).micros()));
+  g_counting.store(false);
+  EXPECT_EQ(tick.fired - fired_before, 1'900'000u);
+  EXPECT_FALSE(closure_fired);
+  EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
+
+  g_allocs.store(0);
+  g_samples.store(0);
+  g_counting.store(true);
+  loop.Reset();  // with the closure still pending
+  start();
+  loop.RunUntil(SimTime(Seconds(1).micros()));
+  fired_before = tick.fired;
+  loop.RunUntil(SimTime(Seconds(20).micros()));
+  g_counting.store(false);
+  EXPECT_EQ(tick.fired - fired_before, 1'900'000u);
+  EXPECT_FALSE(closure_fired);
   EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
 }
 

@@ -197,24 +197,44 @@ class ModelLoop {
 };
 
 // Hammer schedule/cancel/run interleavings against the reference model.
-// Deterministic LCG so failures replay exactly.
+// Deterministic LCG so failures replay exactly. One closure in eight waits
+// far ahead, so slots stay held while the others recycle theirs, and the
+// random cancels of fired, cancelled and pending ids check that a stale id
+// never cancels the closure that now holds its slot. One TimerHandle joins
+// in; to the model it is one more event, and a re-arm is a cancel plus a
+// schedule.
 TEST(EventLoopTest, RandomizedAgainstMapModel) {
   EventLoop loop;
   ModelLoop model;
   std::vector<int> loop_fired;
   std::vector<int> model_fired;
   std::vector<std::pair<EventLoop::EventId, uint64_t>> ids;  // (loop id, model id)
+  struct Timer {
+    std::vector<int>* fired = nullptr;
+    int payload = 0;
+    TimerHandle handle;
+    void Fire() { fired->push_back(payload); }
+  };
+  Timer timer;
+  timer.fired = &loop_fired;
+  timer.handle.Bind<&Timer::Fire>(&timer);
+  uint64_t timer_mid = 0;  // the timer's model id while armed
   uint64_t rng = 12345;
   auto next = [&rng](uint64_t bound) {
     rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
     return (rng >> 33) % bound;
   };
+  // Near now (sometimes in the past → clamps), or far ahead.
+  auto pick_time = [&] {
+    const int64_t ahead = next(8) == 0 ? 100'000 + static_cast<int64_t>(next(100'000))
+                                       : static_cast<int64_t>(next(40)) - 5;
+    return loop.now().micros() + ahead;
+  };
   int payload = 0;
   for (int step = 0; step < 20000; ++step) {
     const uint64_t op = next(10);
     if (op < 5) {
-      // Schedule at a time near now (sometimes in the past → clamps).
-      const int64_t at = loop.now().micros() + static_cast<int64_t>(next(40)) - 5;
+      const int64_t at = pick_time();
       const int p = payload++;
       const auto lid = loop.ScheduleAt(SimTime(at), [&loop_fired, p] { loop_fired.push_back(p); });
       const auto mid = model.Schedule(at, p);
@@ -222,6 +242,18 @@ TEST(EventLoopTest, RandomizedAgainstMapModel) {
     } else if (op < 8) {
       EXPECT_EQ(loop.RunOne(), model.RunOne(&model_fired));
       EXPECT_EQ(loop.now().micros(), model.now());
+    } else if (op < 9) {
+      // Arm, re-arm or cancel the timer.
+      const bool model_was_armed = timer_mid != 0 && model.Cancel(timer_mid);
+      if (next(4) == 0) {
+        EXPECT_EQ(timer.handle.Cancel(), model_was_armed);
+        timer_mid = 0;
+      } else {
+        const int64_t at = pick_time();
+        timer.payload = payload++;
+        loop.ScheduleTimerAt(SimTime(at), &timer.handle);
+        timer_mid = model.Schedule(at, timer.payload);
+      }
     } else {
       // Cancel a random id from the history — pending, fired, or already
       // cancelled; the two implementations must agree on the return value.
