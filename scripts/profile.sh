@@ -8,12 +8,10 @@
 # and anything without line info), read from `nm -C -l`. The top functions
 # follow, each with its layer.
 #
-#   scripts/profile.sh churn       # 10 s of churn (seed 1)
-#   scripts/profile.sh swarm 20    # 20 s of swarm
+#   scripts/profile.sh swarm|churn|fleet    # 10 s of the workload (seed 1)
 #
-# gprof samples every 10 ms, so runs shorter than 5 s are refused. fleet
-# runs its devices on worker threads and gprof samples only part of that
-# work; swarm and churn run on the main thread.
+# fleet runs its devices on worker threads and gprof samples only part of
+# that work; swarm and churn run on the main thread.
 #
 # gprof skips symbols with a '.' in their name and charges their samples to
 # whatever function precedes them in the binary. gcc's IPA clones
@@ -28,18 +26,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 WORKLOAD=${1:-}
-SECONDS_RUN=${2:-10}
 case "$WORKLOAD" in
   swarm | churn | fleet) ;;
   *)
-    echo "usage: scripts/profile.sh swarm|churn|fleet [seconds >= 5]" >&2
+    echo "usage: scripts/profile.sh swarm|churn|fleet" >&2
     exit 2
     ;;
 esac
-if ! python3 -c "import sys; sys.exit(float(sys.argv[1]) < 5)" "$SECONDS_RUN"; then
-  echo "profile.sh: run for at least 5 s; gprof samples every 10 ms" >&2
-  exit 2
-fi
 
 PROF_BUILD_DIR=build-prof
 JOBS=${JOBS:-$(nproc)}
@@ -55,8 +48,9 @@ RUNNER=$(realpath "$PROF_BUILD_DIR/perfbench_runner")
 RUN_DIR="$PROF_BUILD_DIR/profile-$WORKLOAD"
 mkdir -p "$RUN_DIR"
 rm -f "$RUN_DIR/gmon.out"
-# gmon.out lands in the working directory when the runner exits.
-(cd "$RUN_DIR" && "$RUNNER" --workload "$WORKLOAD" --seed 1 --seconds "$SECONDS_RUN" \
+# gmon.out lands in the working directory when the runner exits. gprof
+# samples every 10 ms, so a profile needs a run of at least 5 s.
+(cd "$RUN_DIR" && "$RUNNER" --workload "$WORKLOAD" --seed 1 --seconds 10 \
   --trace 0 >runner.out)
 gprof -b -p "$RUNNER" "$RUN_DIR/gmon.out" >"$RUN_DIR/flat.txt"
 nm -C -l --defined-only "$RUNNER" >"$RUN_DIR/symbols.txt"

@@ -231,8 +231,10 @@ TEST(EventLoopTest, RandomizedAgainstMapModel) {
     return loop.now().micros() + ahead;
   };
   int payload = 0;
-  for (int step = 0; step < 20000; ++step) {
-    const uint64_t op = next(10);
+  // 22,000 steps of 11 ops: about 10,000 schedules, 6,000 runs, 4,000 history
+  // cancels and 2,000 timer ops.
+  for (int step = 0; step < 22000; ++step) {
+    const uint64_t op = next(11);
     if (op < 5) {
       const int64_t at = pick_time();
       const int p = payload++;
@@ -242,7 +244,14 @@ TEST(EventLoopTest, RandomizedAgainstMapModel) {
     } else if (op < 8) {
       EXPECT_EQ(loop.RunOne(), model.RunOne(&model_fired));
       EXPECT_EQ(loop.now().micros(), model.now());
-    } else if (op < 9) {
+    } else if (op < 10) {
+      // Cancel a random id from the history — pending, fired, or already
+      // cancelled; the two implementations must agree on the return value.
+      if (!ids.empty()) {
+        const auto& [lid, mid] = ids[next(ids.size())];
+        EXPECT_EQ(loop.Cancel(lid), model.Cancel(mid));
+      }
+    } else {
       // Arm, re-arm or cancel the timer.
       const bool model_was_armed = timer_mid != 0 && model.Cancel(timer_mid);
       if (next(4) == 0) {
@@ -253,13 +262,6 @@ TEST(EventLoopTest, RandomizedAgainstMapModel) {
         timer.payload = payload++;
         loop.ScheduleTimerAt(SimTime(at), &timer.handle);
         timer_mid = model.Schedule(at, timer.payload);
-      }
-    } else {
-      // Cancel a random id from the history — pending, fired, or already
-      // cancelled; the two implementations must agree on the return value.
-      if (!ids.empty()) {
-        const auto& [lid, mid] = ids[next(ids.size())];
-        EXPECT_EQ(loop.Cancel(lid), model.Cancel(mid));
       }
     }
     ASSERT_EQ(loop.pending_count(), model.pending()) << "diverged at step " << step;
