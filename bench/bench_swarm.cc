@@ -6,12 +6,12 @@
 // mini-swarm twin of this setup), and the wheel keeps 200k+ armed timers
 // O(1) to file and cascade.
 //
-// Shape: NATPUNCH_SWARM_PAIRS site pairs (a host behind its own cone NAT on
-// each side), every pair multiplexing NATPUNCH_SWARM_SESSIONS/pairs punched
-// sessions over one socket pair — the paper's model of many application
-// sessions riding one punched mapping. Sessions are punched with
-// PunchAtEndpoints and deterministic nonces (no per-session rendezvous
-// round-trip), so setup stays a small fraction of the run.
+// Shape: 64 site pairs (a host behind its own cone NAT on each side), every
+// pair multiplexing NATPUNCH_SWARM_SESSIONS/64 punched sessions over one
+// socket pair — the paper's model of many application sessions riding one
+// punched mapping. Sessions are punched with PunchAtEndpoints and
+// deterministic nonces (no per-session rendezvous round-trip), so setup
+// stays a small fraction of the run.
 //
 // Every leg runs in a forked child so its peak RSS (getrusage ru_maxrss,
 // which is monotone per-process) measures that leg alone — previously the
@@ -90,7 +90,7 @@ struct LegSpec {
 int RunLeg(const LegSpec& spec) {
   const uint64_t target_sessions =
       spec.sessions > 0 ? spec.sessions : EnvU64("NATPUNCH_SWARM_SESSIONS", 100000);
-  const uint64_t pairs = std::min<uint64_t>(EnvU64("NATPUNCH_SWARM_PAIRS", 64), 200);
+  constexpr uint64_t pairs = 64;
   const uint64_t per_pair = (target_sessions + pairs - 1) / pairs;
   const uint64_t total = pairs * per_pair;
   const uint64_t shards = spec.shards;
@@ -177,9 +177,6 @@ int RunLeg(const LegSpec& spec) {
     }
   }
   net.RunFor(Seconds(3));
-  if (std::getenv("NATPUNCH_SWARM_STAGE_RSS") != nullptr) {
-    std::fprintf(stderr, "rss after registration: %.1f MiB\n", bench::PeakRssMb());
-  }
   for (uint64_t p = 0; p < pairs; ++p) {
     if (side_a[p].public_ep.IsUnspecified() || side_b[p].public_ep.IsUnspecified()) {
       std::fprintf(stderr, "pair %llu failed to register\n",
@@ -220,9 +217,6 @@ int RunLeg(const LegSpec& spec) {
     net.RunFor(Millis(250));
   }
   net.RunFor(Seconds(3));
-  if (std::getenv("NATPUNCH_SWARM_STAGE_RSS") != nullptr) {
-    std::fprintf(stderr, "rss after punch setup: %.1f MiB\n", bench::PeakRssMb());
-  }
   if (initiator.size() != total || responder.size() != total) {
     std::fprintf(stderr, "punch shortfall: %zu initiator / %zu responder of %llu\n",
                  initiator.size(), responder.size(), static_cast<unsigned long long>(total));

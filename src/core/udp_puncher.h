@@ -184,12 +184,11 @@ class UdpHolePuncher {
     int probes_sent = 0;
     int probe_rounds = 0;
     SessionCallback cb;
-    // Intrusive handles, like the session timers: a closure-ring event
-    // lingers as a tombstone until the ring window passes it, so a swarm
-    // punching in waves would pin tens of MB of cancelled probe/deadline
-    // slots; wheel handles unlink on cancel. The map node gives them the
-    // stable address Bind requires. Attempt is therefore unmovable —
-    // cancel both timers and copy fields out before erasing the node.
+    // Intrusive handles, like the session timers: arming one needs no
+    // std::function and no 48 B closure-pool slot, and a cancel unlinks
+    // the handle. The map node gives them the stable address Bind
+    // requires. Attempt is therefore unmovable — cancel both timers and
+    // copy fields out before erasing the node.
     TimerHandle probe_timer;
     TimerHandle deadline_timer;
     void ProbeTick() { puncher->SendProbes(this); }

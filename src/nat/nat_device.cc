@@ -24,8 +24,6 @@ NatDevice::NatDevice(Network* network, std::string name, NatConfig config)
     metric_filtered_ = metric("filtered_drops");
     metric_hairpins_ = metric("hairpins");
     metric_rejections_ = metric("rejections");
-    metric_flowcache_hits_ = metric("flowcache_hits");
-    metric_flowcache_misses_ = metric("flowcache_misses");
   }
   ScheduleSweep();
 }
@@ -61,55 +59,24 @@ bool NatDevice::EntryExpired(const NatTable::Entry& entry) const {
 }
 
 NatTable::Entry* NatDevice::LookupInboundFresh(IpProtocol protocol, uint16_t public_port) {
-  NatTable::Entry* entry;
-  if (in_cache_.entry != nullptr && in_cache_.generation == table_.generation() &&
-      in_cache_.public_port == public_port && in_cache_.protocol == protocol) {
-    entry = in_cache_.entry;
-    obs::Inc(metric_flowcache_hits_);
-  } else {
-    entry = table_.FindByPublicPort(protocol, public_port);
-    obs::Inc(metric_flowcache_misses_);
-    if (entry != nullptr) {
-      in_cache_ = InboundFlowCache{protocol, public_port, entry, table_.generation()};
-    }
-  }
+  NatTable::Entry* entry = table_.FindByPublicPort(protocol, public_port);
   if (entry != nullptr && EntryExpired(*entry)) {
     // The stale hit still triggers a sweep (now O(expired), and this entry
     // is by definition among the expired), preserving the exact port-free
-    // timing of the old full-scan path. The sweep bumps the table
-    // generation, so both flow caches invalidate.
+    // timing of the old full-scan path.
     CountExpired(table_.Expire(network_->now(), CurrentTimeouts()));
     return nullptr;
   }
   return entry;
 }
 
-NatTable::Entry* NatDevice::MapOutboundCached(const Packet& packet, const Endpoint& private_ep,
-                                              const Endpoint& remote, bool* created) {
-  *created = false;
-  if (out_cache_.entry != nullptr && out_cache_.generation == table_.generation() &&
-      out_cache_.contention_epoch == table_.contention_epoch() &&
-      out_cache_.protocol == packet.protocol && out_cache_.private_ep == private_ep &&
-      out_cache_.remote == remote) {
-    // Identical observable effect to MapOutbound on an existing entry: the
-    // port_users_ record is already present (same private endpoint) and the
-    // outbound key is unchanged (same generation + contention epoch), so
-    // only the refresh remains.
-    table_.Touch(out_cache_.entry, remote, network_->now());
-    obs::Inc(metric_flowcache_hits_);
-    return out_cache_.entry;
-  }
-  obs::Inc(metric_flowcache_misses_);
+NatTable::Entry* NatDevice::MapOutbound(IpProtocol protocol, const Endpoint& private_ep,
+                                        const Endpoint& remote) {
   const size_t mappings_before = table_.size();
-  NatTable::Entry* entry =
-      table_.MapOutbound(packet.protocol, private_ep, remote, network_->now());
-  if (entry == nullptr) {
-    return nullptr;
+  NatTable::Entry* entry = table_.MapOutbound(protocol, private_ep, remote, network_->now());
+  if (table_.size() > mappings_before) {
+    CountMappingCreated();
   }
-  *created = table_.size() > mappings_before;
-  out_cache_ = OutboundFlowCache{packet.protocol,     private_ep, remote,
-                                 entry,               table_.generation(),
-                                 table_.contention_epoch()};
   return entry;
 }
 
@@ -136,7 +103,7 @@ void NatDevice::SetUpstream(std::optional<Ipv4Address> gateway) {
 
 void NatDevice::FlushMappings() {
   CountExpired(table_.size());
-  table_.Clear();  // bumps the table generation -> both flow caches miss
+  table_.Clear();
   basic_out_.clear();
   basic_in_.clear();
   basic_sessions_.clear();
@@ -147,16 +114,6 @@ void NatDevice::Reboot() {
   ++stats_.reboots;
   network_->trace().RecordEvent(network_->now(), trace_id_, TraceEvent::kFault, "nat reboot");
   FlushMappings();
-}
-
-std::optional<Endpoint> NatDevice::PublicEndpointFor(IpProtocol protocol,
-                                                     const Endpoint& private_ep,
-                                                     const Endpoint& remote) {
-  NatTable::Entry* entry = table_.FindOutbound(protocol, private_ep, remote);
-  if (entry == nullptr || EntryExpired(*entry)) {
-    return std::nullopt;
-  }
-  return Endpoint(public_ip_, entry->public_port);
 }
 
 void NatDevice::HandlePacket(int iface, Packet&& packet) {
@@ -258,12 +215,7 @@ void NatDevice::HandleOutbound(Packet&& packet) {
     return;
   }
   const Endpoint private_ep = packet.src();
-  const Endpoint remote = packet.dst();
-  bool created = false;
-  NatTable::Entry* entry = MapOutboundCached(packet, private_ep, remote, &created);
-  if (created) {
-    CountMappingCreated();
-  }
+  NatTable::Entry* entry = MapOutbound(packet.protocol, private_ep, packet.dst());
   if (entry == nullptr) {
     network_->trace().Record(network_->now(), trace_id_, TraceEvent::kDropNoRoute, packet,
                              "port pool exhausted");
@@ -393,13 +345,9 @@ void NatDevice::HandleHairpin(Packet&& packet) {
   // Translate the source exactly as an outbound packet would be (a
   // well-behaved hairpin per §3.5: the receiver sees the sender's public
   // endpoint).
-  bool created = false;
-  NatTable::Entry* source = MapOutboundCached(packet, packet.src(), packet.dst(), &created);
+  NatTable::Entry* source = MapOutbound(packet.protocol, packet.src(), packet.dst());
   if (source == nullptr) {
     return;
-  }
-  if (created) {
-    CountMappingCreated();
   }
   TrackTcpOutbound(source, packet);
   const Endpoint translated_src(public_ip_, source->public_port);

@@ -70,9 +70,6 @@ class NatDevice : public Node {
   // FlushMappings plus reboot accounting and a kFault trace event; what the
   // chaos engine schedules for NAT reboot / mapping churn faults.
   void Reboot();
-  // The public endpoint currently mapped for (private_ep -> remote), if any.
-  std::optional<Endpoint> PublicEndpointFor(IpProtocol protocol, const Endpoint& private_ep,
-                                            const Endpoint& remote);
 
  private:
   void HandleOutbound(Packet&& packet);
@@ -92,14 +89,12 @@ class NatDevice : public Node {
   void TouchBasicSession(Ipv4Address private_ip, const Endpoint& remote);
   void ExpireBasicSessions();
 
-  // Inbound lookup (through the inbound flow cache) with lazy expiry of the
-  // hit entry.
+  // Inbound lookup by public port with lazy expiry of the hit entry.
   NatTable::Entry* LookupInboundFresh(IpProtocol protocol, uint16_t public_port);
-  // Outbound find-or-create through the outbound flow cache; exactly
-  // table_.MapOutbound observably, but a cache hit skips every hash lookup.
-  // Sets *created when a new mapping was made.
-  NatTable::Entry* MapOutboundCached(const Packet& packet, const Endpoint& private_ep,
-                                     const Endpoint& remote, bool* created);
+  // Outbound find-or-create (table_.MapOutbound) that counts a newly made
+  // mapping. nullptr when the port pool is exhausted.
+  NatTable::Entry* MapOutbound(IpProtocol protocol, const Endpoint& private_ep,
+                               const Endpoint& remote);
   SimDuration SessionTimeoutFor(const NatTable::Entry& entry) const;
   bool EntryExpired(const NatTable::Entry& entry) const;
   NatTable::Timeouts CurrentTimeouts() const;
@@ -158,31 +153,6 @@ class NatDevice : public Node {
   obs::Counter* metric_filtered_ = nullptr;
   obs::Counter* metric_hairpins_ = nullptr;
   obs::Counter* metric_rejections_ = nullptr;
-  obs::Counter* metric_flowcache_hits_ = nullptr;
-  obs::Counter* metric_flowcache_misses_ = nullptr;
-
-  // Single-entry per-direction flow caches: the last translated flow in
-  // each direction short-circuits the table lookups. A cached Entry* is
-  // only valid while the table generation is unchanged (no entry has been
-  // removed); the outbound cache additionally pins the contention epoch,
-  // because a §6.3 port-contention demotion changes which outbound key the
-  // cached (private_ep, remote) pair maps through.
-  struct OutboundFlowCache {
-    IpProtocol protocol = IpProtocol::kUdp;
-    Endpoint private_ep;
-    Endpoint remote;
-    NatTable::Entry* entry = nullptr;
-    uint64_t generation = 0;
-    uint64_t contention_epoch = 0;
-  };
-  struct InboundFlowCache {
-    IpProtocol protocol = IpProtocol::kUdp;
-    uint16_t public_port = 0;
-    NatTable::Entry* entry = nullptr;
-    uint64_t generation = 0;
-  };
-  OutboundFlowCache out_cache_;
-  InboundFlowCache in_cache_;
 
   // Basic NAT state: 1:1 address bindings plus per-host session activity
   // (for filtering and idle reclamation; idle timing uses udp_timeout for

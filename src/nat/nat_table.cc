@@ -222,11 +222,8 @@ NatTable::Entry* NatTable::MapOutbound(IpProtocol protocol, const Endpoint& priv
   if (!users->any) {
     users->any = true;
     users->first = private_ep.ip;
-  } else if (!users->multi && users->first != private_ep.ip) {
+  } else if (users->first != private_ep.ip) {
     users->multi = true;
-    // EffectiveMapping for this port just changed; outbound flow caches
-    // keyed under the old mapping behavior must miss.
-    ++contention_epoch_;
   }
   const OutKey key =
       MakeOutKey(protocol, private_ep, remote, EffectiveMapping(protocol, private_ep));
@@ -301,7 +298,6 @@ void NatTable::RemoveEntry(Entry* entry) {
   by_port_.Erase(PortKey{entry->protocol, entry->public_port});
   by_out_.Erase(entry->out_key);
   ReleaseEntry(entry);
-  ++generation_;
 }
 
 size_t NatTable::Expire(SimTime now, const Timeouts& timeouts) {
@@ -351,7 +347,6 @@ void NatTable::Clear() {
   by_port_.Clear();
   by_priv_.Clear();
   port_users_.Clear();
-  ++generation_;
 }
 
 }  // namespace natpunch

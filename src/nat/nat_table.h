@@ -169,20 +169,6 @@ class NatTable {
   // Drop all state (failure injection: a NAT reboot).
   void Clear();
 
-  // Bumped whenever any entry is removed (expiry or Clear); cached Entry*
-  // from an older generation must not be dereferenced.
-  uint64_t generation() const { return generation_; }
-  // Bumped when a private port gains a second distinct inside user — the
-  // event that can flip EffectiveMapping under symmetric_on_port_contention,
-  // changing which outbound key a (private_ep, remote) pair maps through.
-  uint64_t contention_epoch() const { return contention_epoch_; }
-
-  // The port the sequential allocator would hand out next; exposed because
-  // the port-prediction variant (§5.1) literally exploits this.
-  uint16_t next_sequential_port(IpProtocol protocol) const {
-    return protocol == IpProtocol::kTcp ? next_port_tcp_ : next_port_udp_;
-  }
-
  private:
   struct OutKeyHash {
     size_t operator()(const OutKey& k) const {
@@ -244,7 +230,7 @@ class NatTable {
 
   Entry* AcquireEntry();
   void ReleaseEntry(Entry* entry);
-  // Unlink from every index and recycle. Bumps generation_.
+  // Unlink from every index and recycle.
   void RemoveEntry(Entry* entry);
 
   void ListUnlink(Entry* entry);
@@ -280,9 +266,6 @@ class NatTable {
   // list. Recycled entries keep their sessions vector capacity.
   std::vector<std::unique_ptr<Entry>> arena_;
   Entry* free_list_ = nullptr;
-
-  uint64_t generation_ = 0;
-  uint64_t contention_epoch_ = 0;
 };
 
 }  // namespace natpunch

@@ -21,7 +21,6 @@ int Node::AttachTo(Lan* lan, Ipv4Address ip, int prefix_length) {
 
 void Node::AddRoute(Ipv4Prefix prefix, int iface, std::optional<Ipv4Address> gateway) {
   routes_.push_back(Route{prefix, iface, gateway});
-  cached_iface_ = -1;  // the new route may shadow the cached decision
 }
 
 void Node::AddDefaultRoute(int iface, Ipv4Address gateway) {
@@ -59,19 +58,10 @@ bool Node::SendPacket(Packet&& packet) {
     packet.id = network_->NextPacketId();
   }
   Ipv4Address next_hop;
-  int iface;
-  if (cached_iface_ >= 0 && packet.dst_ip == cached_dst_) {
-    iface = cached_iface_;
-    next_hop = cached_next_hop_;
-  } else {
-    iface = RouteLookup(packet.dst_ip, &next_hop);
-    if (iface < 0) {
-      network_->trace().Record(network_->now(), trace_id_, TraceEvent::kDropNoRoute, packet);
-      return false;
-    }
-    cached_dst_ = packet.dst_ip;
-    cached_next_hop_ = next_hop;
-    cached_iface_ = iface;
+  const int iface = RouteLookup(packet.dst_ip, &next_hop);
+  if (iface < 0) {
+    network_->trace().Record(network_->now(), trace_id_, TraceEvent::kDropNoRoute, packet);
+    return false;
   }
   if (packet.src_ip.IsUnspecified()) {
     packet.src_ip = ifaces_[static_cast<size_t>(iface)].ip;

@@ -83,14 +83,6 @@ class Node {
 
   std::vector<Iface> ifaces_;
   std::vector<Route> routes_;
-
-  // One-entry route cache for SendPacket. Most nodes converse with a handful
-  // of destinations, and the routing table is static after topology setup,
-  // so the longest-prefix scan is pure per destination between AddRoute
-  // calls (which invalidate the cache).
-  Ipv4Address cached_dst_;
-  Ipv4Address cached_next_hop_;
-  int cached_iface_ = -1;
 };
 
 }  // namespace natpunch

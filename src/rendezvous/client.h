@@ -159,12 +159,8 @@ class UdpRendezvousClient {
   std::map<ConnectStrategy, MessageHandler> connect_forward_handlers_;
   RelayHandler relay_handler_;
   PeerTrafficHandler peer_traffic_handler_;
-  // Intrusive keepalive timer. A closure-based ScheduleAfter here would pin
-  // the event loop's closure ring for the life of the client — the ring
-  // must span from the oldest pending sequence to the newest, so 100k
-  // clients each holding one long-lived closure force a multi-million-slot
-  // ring (this was the sharded swarm leg's 2.5x memory regression). Wheel
-  // timers carry no such window cost.
+  // Intrusive keepalive timer: arming it needs no std::function and no
+  // 48 B closure-pool slot, and a cancel unlinks the handle.
   TimerHandle keepalive_timer_;
   SimDuration keepalive_interval_;
 };

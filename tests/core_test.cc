@@ -36,6 +36,19 @@ class UdpPunchTest : public ::testing::Test {
     Setup(topo5_.scenario.get(), topo5_.server, topo5_.a, topo5_.b);
   }
 
+  // Takes a test-built topology's scenario, so that it outlives the server,
+  // clients and punchers below. A previous Setup's objects die first, while
+  // the scenario they run on still exists.
+  void Setup(std::unique_ptr<Scenario> scenario, Host* server_host, Host* a, Host* b) {
+    pb_.reset();
+    pa_.reset();
+    cb_.reset();
+    ca_.reset();
+    server_.reset();
+    owned_scenario_ = std::move(scenario);
+    Setup(owned_scenario_.get(), server_host, a, b);
+  }
+
   void Setup(Scenario* scenario, Host* server_host, Host* a, Host* b) {
     scenario_ = scenario;
     server_ = std::make_unique<RendezvousServer>(server_host, kServerPort);
@@ -65,6 +78,7 @@ class UdpPunchTest : public ::testing::Test {
 
   Scenario* scenario_ = nullptr;
   Fig5Topology topo5_;
+  std::unique_ptr<Scenario> owned_scenario_;
   std::unique_ptr<RendezvousServer> server_;
   std::unique_ptr<UdpRendezvousClient> ca_, cb_;
   std::unique_ptr<UdpHolePuncher> pa_, pb_;
@@ -123,7 +137,7 @@ TEST_F(UdpPunchTest, Fig4CommonNatPrefersPrivateEndpoints) {
   // §3.3: behind a common NAT the private-endpoint probes arrive over the
   // LAN and win (public ones need hairpin, absent here).
   auto topo = MakeFig4(NatConfig{});
-  Setup(topo.scenario.get(), topo.server, topo.a, topo.b);
+  Setup(std::move(topo.scenario), topo.server, topo.a, topo.b);
   UdpP2pSession* session = Punch();
   ASSERT_NE(session, nullptr) << punch_result_.ToString();
   EXPECT_TRUE(session->used_private_endpoint());
@@ -138,7 +152,7 @@ TEST_F(UdpPunchTest, Fig4WithoutPrivateCandidatesNeedsHairpin) {
     NatConfig config;
     config.hairpin_udp = hairpin;
     auto topo = MakeFig4(config);
-    Setup(topo.scenario.get(), topo.server, topo.a, topo.b);
+    Setup(std::move(topo.scenario), topo.server, topo.a, topo.b);
     UdpPunchConfig punch_config;
     punch_config.try_private_endpoint = false;
     pa_ = std::make_unique<UdpHolePuncher>(ca_.get(), punch_config);
@@ -161,7 +175,7 @@ TEST_F(UdpPunchTest, Fig6MultiLevelNeedsHairpinOnIspNat) {
     NatConfig isp;
     isp.hairpin_udp = hairpin;
     auto topo = MakeFig6(isp, NatConfig{}, NatConfig{});
-    Setup(topo.scenario.get(), topo.server, topo.a, topo.b);
+    Setup(std::move(topo.scenario), topo.server, topo.a, topo.b);
     UdpP2pSession* session = Punch();
     if (hairpin) {
       ASSERT_NE(session, nullptr);
@@ -216,7 +230,7 @@ TEST_F(UdpPunchTest, WithoutKeepAlivesSessionDies) {
   NatConfig& config = topo.site_a.nat->mutable_config();
   config.udp_timeout = Seconds(20);
   topo.site_b.nat->mutable_config().udp_timeout = Seconds(20);
-  Setup(topo.scenario.get(), topo.server, topo.a, topo.b);
+  Setup(std::move(topo.scenario), topo.server, topo.a, topo.b);
   // The registrations with S stay alive (clients normally keep those warm);
   // §3.6's point is that this does NOT keep the p2p session's own NAT
   // timers fresh.

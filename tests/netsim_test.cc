@@ -617,6 +617,21 @@ TEST(NodeTest, LongestPrefixMatchWins) {
   Ipv4Address next_hop;
   EXPECT_EQ(r->RouteLookup(Ipv4Address::FromOctets(10, 0, 1, 7), &next_hop), i2);
   EXPECT_EQ(r->RouteLookup(Ipv4Address::FromOctets(10, 9, 9, 9), &next_hop), i1);
+
+  // A route added after traffic to a destination steers the next packet to
+  // that destination.
+  const Ipv4Address dst = Ipv4Address::FromOctets(10, 9, 9, 9);
+  Packet first;
+  first.set_dst(Endpoint(dst, 9));
+  ASSERT_TRUE(r->SendPacket(std::move(first)));
+  EXPECT_EQ(lan1->packets_transmitted(), 1u);
+  EXPECT_EQ(lan2->packets_transmitted(), 0u);
+  r->AddRoute(Ipv4Prefix(dst, 32), i2);
+  Packet second;
+  second.set_dst(Endpoint(dst, 9));
+  ASSERT_TRUE(r->SendPacket(std::move(second)));
+  EXPECT_EQ(lan1->packets_transmitted(), 1u);
+  EXPECT_EQ(lan2->packets_transmitted(), 1u);
 }
 
 TEST(NodeTest, GatewayRouteSetsNextHop) {
