@@ -62,6 +62,32 @@ void BM_EventLoopSteadyChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopSteadyChurn);
 
+// The in-order channel pattern (Lan::DeliverQueued, a self-re-arming
+// keepalive): one TimerHandle re-arms itself 1 us ahead from its own
+// callback while 1,024 closures wait far ahead in the heap, so every
+// dispatch fires the timer at the heap top and pushes its next key.
+struct SelfRearmingTimer {
+  EventLoop* loop = nullptr;
+  TimerHandle handle;
+  void Fire() { loop->ScheduleTimerAfter(Micros(1), &handle); }
+};
+
+void BM_EventLoopTimerChannel(benchmark::State& state) {
+  EventLoop loop;
+  for (int i = 0; i < 1024; ++i) {
+    loop.ScheduleAt(SimTime() + Seconds(3600) + Micros(i), [] {});
+  }
+  SelfRearmingTimer timer;
+  timer.loop = &loop;
+  timer.handle.Bind<&SelfRearmingTimer::Fire>(&timer);
+  loop.ScheduleTimerAfter(Micros(1), &timer.handle);
+  for (auto _ : state) {
+    loop.RunOne();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventLoopTimerChannel);
+
 void BM_NatTableMapOutbound(benchmark::State& state) {
   NatTable table(NatMapping::kAddressAndPortDependent, NatPortAllocation::kSequential, 62000,
                  Rng(1));

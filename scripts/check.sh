@@ -11,14 +11,16 @@
 #                                    # re-run them (guards RunFleetParallel
 #                                    # against data races)
 #   NATPUNCH_ASAN=1 scripts/check.sh # ...then rebuild the chaos/failure,
-#                                    # LAN/Network, event-loop/timer-wheel,
-#                                    # NAT table/device and core punching
-#                                    # tests under -fsanitize=address,undefined
-#                                    # and re-run them (fault injection,
-#                                    # session teardown, Network::Reset with
-#                                    # packets in flight, closure-slot reuse
-#                                    # and the NAT table's pooled entries are
-#                                    # where lifetime bugs hide)
+#                                    # LAN/Network, event-loop (model and edge
+#                                    # cases)/timer-wheel, golden-trace, NAT
+#                                    # table/device and core punching tests
+#                                    # under -fsanitize=address,undefined and
+#                                    # re-run them (fault injection, session
+#                                    # teardown, Network::Reset with packets
+#                                    # in flight, event-slot reuse, dispatch-
+#                                    # time scheduling and the NAT table's
+#                                    # pooled entries are where lifetime bugs
+#                                    # hide)
 #
 # The compiler comes from the standard CC/CXX environment variables (CMake
 # picks them up on a fresh configure); use a distinct BUILD_DIR per compiler
@@ -87,9 +89,9 @@ if [[ "${NATPUNCH_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${NATPUNCH_ASAN:-0}" == "1" ]]; then
-  echo "==== ASan/UBSan pass: rebuilding chaos/failure/LAN/event-loop/NAT/punching tests with -fsanitize=address,undefined ===="
+  echo "==== ASan/UBSan pass: rebuilding chaos/failure/LAN/event-loop/golden-trace/NAT/punching tests with -fsanitize=address,undefined ===="
   sanitizer_pass "$ASAN_BUILD_DIR" address,undefined \
-    'Chaos|FailureTest|LanTest|NetworkTest|EventLoopTest|TimerWheel|^(UdpPunch|TcpPunch|Relay|Prober|Prediction|Connector|NatTable|NatDevice|BasicNat|Contention)Test\.|/NatTableModelTest\.' \
-    chaos_test failure_test netsim_test timer_wheel_test core_test nat_test nat_table_model_test \
-    extensions_test
+    'Chaos|FailureTest|LanTest|NetworkTest|EventLoopTest|EventLoopEdgeTest|TraceGoldenTest|TimerWheel|^(UdpPunch|TcpPunch|Relay|Prober|Prediction|Connector|NatTable|NatDevice|BasicNat|Contention)Test\.|/NatTableModelTest\.' \
+    chaos_test failure_test netsim_test misc_test timer_wheel_test trace_golden_test core_test \
+    nat_test nat_table_model_test extensions_test
 fi

@@ -185,10 +185,11 @@ class UdpHolePuncher {
     int probe_rounds = 0;
     SessionCallback cb;
     // Intrusive handles, like the session timers: arming one needs no
-    // std::function and no 48 B closure-pool slot, and a cancel unlinks
-    // the handle. The map node gives them the stable address Bind
-    // requires. Attempt is therefore unmovable — cancel both timers and
-    // copy fields out before erasing the node.
+    // std::function, it takes a 56 B event-pool slot only when it leaves
+    // the timing wheel shortly before it fires, and a cancel unlinks the
+    // handle or frees that slot. The map node gives them the stable
+    // address Bind requires. Attempt is therefore unmovable — cancel both
+    // timers and copy fields out before erasing the node.
     TimerHandle probe_timer;
     TimerHandle deadline_timer;
     void ProbeTick() { puncher->SendProbes(this); }

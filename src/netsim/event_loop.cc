@@ -68,16 +68,7 @@ void EventLoop::HeapPopTop() {
 
 EventLoop::EventId EventLoop::ScheduleAt(SimTime at, std::function<void()> fn) {
   const int64_t t = std::max(at.micros(), now_.micros());
-  uint32_t index = free_head_;
-  if (index != kNoSlot) {
-    free_head_ = slots_[index].next_free;
-  } else {
-    if (slots_.size() == (size_t{1} << kSlotBits)) {
-      WidthExhausted("closure slot index");
-    }
-    index = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
+  const uint32_t index = AcquireSlot();
   Slot& slot = slots_[index];
   slot.fn = std::move(fn);
   slot.seq = NextSequence();
@@ -95,35 +86,52 @@ uint64_t EventLoop::NextSequence() {
   return next_seq_++;
 }
 
-std::function<void()> EventLoop::ReleaseSlot(uint32_t index) {
+uint32_t EventLoop::AcquireSlot() {
+  const uint32_t index = free_head_;
+  if (index != kNoSlot) {
+    free_head_ = slots_[index].next_free;
+    return index;
+  }
+  if (slots_.size() == (size_t{1} << kSlotBits)) {
+    WidthExhausted("slot index");
+  }
+  slots_.emplace_back();
+  return static_cast<uint32_t>(slots_.size() - 1);
+}
+
+void EventLoop::FreeSlot(uint32_t index) {
   Slot& slot = slots_[index];
-  std::function<void()> fn = std::move(slot.fn);
-  slot.fn = nullptr;
+  slot.timer = nullptr;
   slot.seq = kFreeSeq;
   slot.next_free = free_head_;
   free_head_ = index;
+}
+
+std::function<void()> EventLoop::ReleaseClosure(uint32_t index) {
+  std::function<void()> fn = std::move(slots_[index].fn);
+  slots_[index].fn = nullptr;
+  FreeSlot(index);
   return fn;
 }
 
 void EventLoop::Reset() {
-  for (uint32_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].seq != kFreeSeq) {
-      ReleaseSlot(i);  // destroys the pending closure (and anything it owns)
-    }
-  }
   // Detach every armed timer so its handle reads !pending() and a later
-  // destructor or re-arm is safe. Heap-resident timers are reachable through
-  // their heap keys; wheel-resident ones through the slot lists.
-  for (const HeapEntry& entry : heap_) {
-    if (!IsTimerId(entry.id)) {
+  // destructor or re-arm never touches this loop. Heap-resident timers are
+  // reachable through their slots, wheel-resident ones through the wheel's
+  // lists. Pending closures are destroyed (with anything they own) after
+  // their slot is freed.
+  for (uint32_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
+    if (slot.seq == kFreeSeq) {
       continue;
     }
-    TimerHandle** found = heap_timers_.Find(entry.id);
-    if (found != nullptr) {
-      (*found)->state_ = TimerHandle::State::kIdle;
+    if (slot.timer != nullptr) {
+      slot.timer->state_ = TimerHandle::State::kIdle;
+      FreeSlot(i);
+    } else {
+      ReleaseClosure(i);
     }
   }
-  heap_timers_.Clear();
   for (int level = 0; level < kWheelLevels; ++level) {
     uint64_t bits = wheel_occupied_[level];
     while (bits != 0) {
@@ -157,24 +165,19 @@ void EventLoop::Reset() {
 }
 
 void EventLoop::PopDead() {
-  while (!heap_.empty()) {
-    // A timer key whose id is absent from heap_timers_ was cancelled or
-    // re-armed after migrating to the heap; a closure key whose slot holds
-    // another sequence was cancelled, and the slot may since hold a newer
-    // closure. Either stale key dies here.
-    const EventId id = heap_.front().id;
-    if (IsTimerId(id) ? heap_timers_.Find(id) != nullptr : ClosurePending(id)) {
-      return;
-    }
+  // A key whose slot holds another sequence was cancelled (a closure, or a
+  // timer cancelled or re-armed after it entered the heap), and the slot may
+  // since hold a newer event. Such a stale key dies here.
+  while (!heap_.empty() && !Live(heap_.front().id)) {
     HeapPopTop();
   }
 }
 
 bool EventLoop::Cancel(EventId id) {
-  if (IsTimerId(id) || SlotOf(id) >= slots_.size() || !ClosurePending(id)) {
+  if (IsTimerId(id) || SlotOf(id) >= slots_.size() || !Live(id)) {
     return false;
   }
-  ReleaseSlot(SlotOf(id));  // the heap entry dies lazily in PopDead
+  ReleaseClosure(SlotOf(id));  // the heap entry dies lazily in PopDead
   --live_;
   return true;
 }
@@ -223,7 +226,7 @@ bool EventLoop::CancelTimer(TimerHandle* timer) {
       WheelUnlink(timer);
       break;
     case TimerHandle::State::kInHeap:
-      heap_timers_.Erase(timer->id_);  // the heap key dies lazily in PopDead
+      FreeSlot(SlotOf(timer->id_));  // the heap key dies lazily in PopDead
       break;
   }
   timer->state_ = TimerHandle::State::kIdle;
@@ -232,9 +235,12 @@ bool EventLoop::CancelTimer(TimerHandle* timer) {
 }
 
 void EventLoop::TimerToHeap(TimerHandle* timer) {
+  const uint32_t index = AcquireSlot();
+  slots_[index].timer = timer;
+  slots_[index].seq = SeqOf(timer->id_);
+  timer->id_ |= uint64_t{index} << 1;  // an armed id's slot bits are zero
   timer->state_ = TimerHandle::State::kInHeap;
   HeapPush(HeapEntry{timer->deadline_, timer->id_});
-  heap_timers_.InsertOrAssign(timer->id_, timer);
 }
 
 void EventLoop::WheelFile(TimerHandle* timer) {
@@ -452,22 +458,19 @@ bool EventLoop::PrepareTop(int64_t limit) {
 void EventLoop::DispatchTop() {
   const HeapEntry top = heap_.front();
   HeapPopTop();
-  if (IsTimerId(top.id)) {
-    TimerHandle* timer = *heap_timers_.Find(top.id);
-    heap_timers_.Erase(top.id);
-    timer->state_ = TimerHandle::State::kIdle;
-    --live_;
-    now_ = SimTime(top.time);
-    ++events_processed_;
-    obs::Inc(metric_dispatched_);
-    timer->thunk_(timer);  // may re-arm the handle
-    return;
-  }
-  std::function<void()> fn = ReleaseSlot(SlotOf(top.id));
+  const uint32_t index = SlotOf(top.id);
   --live_;
   now_ = SimTime(top.time);
   ++events_processed_;
   obs::Inc(metric_dispatched_);
+  if (IsTimerId(top.id)) {
+    TimerHandle* timer = slots_[index].timer;
+    FreeSlot(index);
+    timer->state_ = TimerHandle::State::kIdle;
+    timer->thunk_(timer);  // may re-arm the handle
+    return;
+  }
+  std::function<void()> fn = ReleaseClosure(index);
   fn();
 }
 

@@ -9,12 +9,7 @@
 // Two scheduling tiers share one insertion-sequence counter:
 //
 //  * ScheduleAt/ScheduleAfter — closure events (packet deliveries, one-shot
-//    control work). A 4-ary min-heap of (time, sequence) keys with lazy
-//    cancellation; callbacks live in a pool of slots recycled through a free
-//    list, and each id names its slot, which gives O(1) id lookup with no
-//    hashing and a steady-state allocation-free packet path. The pool holds
-//    as many slots as closures were ever pending at once, however long one
-//    of them waits.
+//    control work).
 //
 //  * ScheduleTimerAt/ScheduleTimerAfter — intrusive TimerHandle events for
 //    the coarse periodic tier (keepalives, NAT mapping expiry, relay
@@ -25,6 +20,15 @@
 //    wheel (4 levels x 64 slots) and only migrate into the heap shortly
 //    before they are due, so a million armed keepalives cost the heap
 //    nothing until their slot comes up.
+//
+// Both tiers dispatch from one 4-ary min-heap of (time, id) keys with lazy
+// cancellation. Every heap-resident event holds a slot in one pool recycled
+// through a free list: a closure's slot owns its std::function, a timer's
+// slot points at its handle. Each id names its slot, and a slot records the
+// sequence of the event it holds, so one rule tells a live key from a stale
+// one for both tiers, with no hashing and an allocation-free steady state.
+// The pool holds as many slots as closures and heap-resident timers were
+// ever pending at once, however long one of them waits.
 //
 // The wheel is a staging area, never a dispatch path: every timer enters the
 // heap carrying its original (time, sequence) key before the clock reaches
@@ -42,12 +46,12 @@
 #ifndef SRC_NETSIM_EVENT_LOOP_H_
 #define SRC_NETSIM_EVENT_LOOP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "src/netsim/sim_time.h"
-#include "src/util/flat_hash.h"
 
 namespace natpunch {
 
@@ -62,7 +66,9 @@ class EventLoop;
 // member functions; arming, cancelling, and firing never allocate. A handle
 // may be re-armed from its own callback (the self-rescheduling keepalive
 // pattern) and cancels itself on destruction, so a destroyed session can
-// never leave a dangling timer behind.
+// never leave a dangling timer behind. A loop detaches its armed handles
+// when it is reset or destroyed, so a handle may outlive its loop: it then
+// reads !pending() and never touches the loop again.
 class TimerHandle {
  public:
   TimerHandle() = default;
@@ -92,7 +98,8 @@ class TimerHandle {
   bool pending() const { return state_ != State::kIdle; }
   SimTime deadline() const { return SimTime(deadline_); }
 
-  // Cancel if armed. Returns true if the timer was still pending.
+  // Cancel if armed. Returns true if the timer was still pending. An idle
+  // handle returns false without touching the loop it was last armed on.
   bool Cancel();
 
  private:
@@ -101,13 +108,13 @@ class TimerHandle {
   enum class State : uint8_t {
     kIdle,    // not armed
     kInWheel, // linked into a wheel slot (or the overflow list)
-    kInHeap,  // migrated to the heap; heap_timers_ maps id -> this
+    kInHeap,  // migrated to the heap; holds a pool slot that points here
   };
 
   EventLoop* loop_ = nullptr;
   void (*thunk_)(TimerHandle*) = nullptr;
   int64_t deadline_ = 0;  // micros
-  uint64_t id_ = 0;       // full event id (kind bit set)
+  uint64_t id_ = 0;       // full event id (kind bit set; its slot once kInHeap)
   TimerHandle* prev_ = nullptr;
   TimerHandle* next_ = nullptr;
   int32_t obj_offset_ = 0;  // owner address minus handle address (Bind)
@@ -124,6 +131,8 @@ class EventLoop {
   static constexpr EventId kInvalidEventId = 0;
 
   EventLoop() = default;
+  // Detaches every armed timer, as Reset() does.
+  ~EventLoop() { Reset(); }
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -157,6 +166,8 @@ class EventLoop {
   // loop.timers_* count. A channel that appends its events in (time,
   // sequence) order and keeps only its head armed therefore dispatches each
   // event exactly where a closure scheduled at reservation time would have.
+  // Each reserved sequence may be scheduled once: the pool tells a live key
+  // from a stale one by its sequence.
   EventId ReserveSequence();
   void ScheduleReserved(SimTime at, EventId reserved, TimerHandle* timer);
 
@@ -189,8 +200,8 @@ class EventLoop {
   size_t wheel_pending() const { return wheel_size_; }
 
   // Return to the pristine just-constructed state (clock at 0, no pending
-  // events, counters zeroed) while KEEPING the heap, closure-pool, and
-  // timer-map capacities, so a reused loop schedules without allocating.
+  // events, counters zeroed) while KEEPING the heap and slot-pool
+  // capacities, so a reused loop schedules without allocating.
   // Ids issued before a Reset must not be passed to Cancel after it. Pending
   // closures are destroyed and armed timers detach (their handles read
   // !pending()). Lets fleet workers run thousands of device simulations on
@@ -218,12 +229,12 @@ class EventLoop {
 
  private:
   // Event id layout, high bits to low: the insertion sequence (kSeqBits),
-  // the closure's pool slot (kSlotBits, zero for a timer), then the tier bit
-  // (0 = closure event, 1 = timer). Both tiers share the sequence counter
-  // and it sits above everything else, so (time, id) comparisons order
-  // cross-tier ties by schedule order and the heap entry stays 16 bytes.
-  // ScheduleAt and NextSequence enforce both widths in every build; DESIGN.md
-  // "Closure pool" says why they suffice.
+  // the event's pool slot (kSlotBits; zero for a timer until it enters the
+  // heap), then the tier bit (0 = closure event, 1 = timer). Both tiers
+  // share the sequence counter and it sits above everything else, so
+  // (time, id) comparisons order cross-tier ties by schedule order and the
+  // heap entry stays 16 bytes. AcquireSlot and NextSequence enforce both
+  // widths in every build; DESIGN.md "Closure pool" says why they suffice.
   static constexpr uint64_t kTimerKindBit = 1;
   static constexpr int kSlotBits = 23;
   static constexpr int kSeqShift = kSlotBits + 1;
@@ -246,13 +257,15 @@ class EventLoop {
   void HeapPush(HeapEntry entry);
   void HeapPopTop();
 
-  // A closure slot. `seq` is the sequence of the pending closure it holds,
-  // kFreeSeq while the slot is on the free list; an id whose sequence
-  // differs from its slot's names a closure that fired or was cancelled.
+  // A pool slot holds one heap-resident event: a closure (`fn`) or a timer
+  // (`timer`, null for a closure). `seq` is that event's sequence, kFreeSeq
+  // while the slot is on the free list; a heap key whose sequence differs
+  // from its slot's names an event that fired or was cancelled.
   static constexpr uint64_t kFreeSeq = ~uint64_t{0};
   static constexpr uint32_t kNoSlot = ~uint32_t{0};
   struct Slot {
     std::function<void()> fn;
+    TimerHandle* timer = nullptr;
     uint64_t seq = kFreeSeq;
     uint32_t next_free = kNoSlot;  // free-list link while seq == kFreeSeq
   };
@@ -301,8 +314,8 @@ class EventLoop {
   // Point `timer` (re-armed if pending) at `at` under `id` and count it
   // pending; the caller files it into a tier.
   void ArmTimer(SimTime at, EventId id, TimerHandle* timer);
-  // Move the timer into the heap tier: push its (deadline, id) key and index
-  // the handle by id so cancellation and dispatch can find it.
+  // Move the timer into the heap tier: give it a pool slot, record the slot
+  // in its id and push its (deadline, id) key.
   void TimerToHeap(TimerHandle* timer);
 
   // Ensure the heap top is the globally next event (all wheel slots at or
@@ -312,17 +325,20 @@ class EventLoop {
 
   // Take the next insertion sequence.
   uint64_t NextSequence();
-  // Whether the closure `id` names is still pending in its slot.
-  bool ClosurePending(EventId id) const { return slots_[SlotOf(id)].seq == SeqOf(id); }
-  // Put slot `index` on the free list and hand back its closure, so the
-  // closure dies (or runs) only once the pool is consistent again.
-  std::function<void()> ReleaseSlot(uint32_t index);
+  // Whether the event `id` names is still pending in its slot.
+  bool Live(EventId id) const { return slots_[SlotOf(id)].seq == SeqOf(id); }
+  // Take a slot off the free list, growing the pool if it is empty.
+  uint32_t AcquireSlot();
+  // Put slot `index` on the free list.
+  void FreeSlot(uint32_t index);
+  // Free a closure's slot and hand back its closure, so the closure dies (or
+  // runs) only once the pool is consistent again.
+  std::function<void()> ReleaseClosure(uint32_t index);
   // Pop and run the heap top. Precondition: PrepareTop() returned true (the
   // top is live and every earlier timer has been flushed from the wheel).
   void DispatchTop();
-  // Drop dead entries off the heap top: closure ids whose slot no longer
-  // holds their sequence and timer ids no longer present in heap_timers_
-  // (cancelled or re-armed).
+  // Drop dead keys off the heap top: ids whose slot no longer holds their
+  // sequence (fired, cancelled or re-armed).
   void PopDead();
 
   SimTime now_;
@@ -330,15 +346,12 @@ class EventLoop {
   uint64_t events_processed_ = 0;
   size_t live_ = 0;  // scheduled, not yet fired or cancelled (both tiers)
   std::vector<HeapEntry> heap_;
-  std::vector<Slot> slots_;       // closure pool; never shrinks
+  std::vector<Slot> slots_;       // event pool; never shrinks
   uint32_t free_head_ = kNoSlot;  // first free slot in slots_
 
-  // Timer tier state. heap_timers_ maps the id of every live heap-resident
-  // timer to its handle; a heap entry whose id misses the map is a stale key
-  // from a cancel/re-arm and is dropped by PopDead. Indexing by id (not
-  // handle pointer) makes a destroyed owner harmless: its destructor erases
-  // the mapping and the orphaned heap key can never reach freed memory.
-  FlatHashMap<uint64_t, TimerHandle*> heap_timers_;
+  // Timer tier state. A heap-resident timer is reachable only through its
+  // slot, which its cancel or destructor frees: the orphaned heap key is
+  // then stale and can never reach freed memory.
   TimerHandle* wheel_slots_[kWheelLevels][kWheelSlots] = {};
   uint64_t wheel_occupied_[kWheelLevels] = {};  // per-level slot bitmaps
   TimerHandle* overflow_head_ = nullptr;
@@ -355,7 +368,7 @@ class EventLoop {
 };
 
 inline bool TimerHandle::Cancel() {
-  return loop_ != nullptr && loop_->CancelTimer(this);
+  return state_ != State::kIdle && loop_->CancelTimer(this);
 }
 
 }  // namespace natpunch

@@ -159,8 +159,9 @@ class UdpRendezvousClient {
   std::map<ConnectStrategy, MessageHandler> connect_forward_handlers_;
   RelayHandler relay_handler_;
   PeerTrafficHandler peer_traffic_handler_;
-  // Intrusive keepalive timer: arming it needs no std::function and no
-  // 48 B closure-pool slot, and a cancel unlinks the handle.
+  // Intrusive keepalive timer: arming it needs no std::function, it takes a
+  // 56 B event-pool slot only when it leaves the timing wheel shortly before
+  // it fires, and a cancel unlinks the handle or frees that slot.
   TimerHandle keepalive_timer_;
   SimDuration keepalive_interval_;
 };

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -196,82 +198,270 @@ class ModelLoop {
   std::map<std::pair<int64_t, uint64_t>, int> queue_;
 };
 
-// Hammer schedule/cancel/run interleavings against the reference model.
-// Deterministic LCG so failures replay exactly. One closure in eight waits
-// far ahead, so slots stay held while the others recycle theirs, and the
-// random cancels of fired, cancelled and pending ids check that a stale id
-// never cancels the closure that now holds its slot. One TimerHandle joins
-// in; to the model it is one more event, and a re-arm is a cancel plus a
-// schedule.
-TEST(EventLoopTest, RandomizedAgainstMapModel) {
-  EventLoop loop;
-  ModelLoop model;
-  std::vector<int> loop_fired;
-  std::vector<int> model_fired;
-  std::vector<std::pair<EventLoop::EventId, uint64_t>> ids;  // (loop id, model id)
-  struct Timer {
-    std::vector<int>* fired = nullptr;
-    int payload = 0;
-    TimerHandle handle;
-    void Fire() { fired->push_back(payload); }
-  };
-  Timer timer;
-  timer.fired = &loop_fired;
-  timer.handle.Bind<&Timer::Fire>(&timer);
-  uint64_t timer_mid = 0;  // the timer's model id while armed
-  uint64_t rng = 12345;
-  auto next = [&rng](uint64_t bound) {
-    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
-    return (rng >> 33) % bound;
-  };
+// Drives an EventLoop and a ModelLoop in lockstep. Deterministic LCG so
+// failures replay exactly. One closure in eight waits far ahead, so slots
+// stay held while the others recycle theirs, and the random cancels of
+// fired, cancelled and pending ids check that a stale id never cancels the
+// event that now holds its slot. Four TimerHandles join in; to the model a
+// timer is one more event, and a re-arm is a cancel plus a schedule. Some
+// handles are destroyed and rebuilt while their key sits in the heap, so a
+// stale timer key must not reach the handle, or the slot, that replaced
+// it. One in-order channel takes a reserved sequence per event and keeps
+// only its head armed, re-arming before the head's work runs, as a Lan
+// does; to the model each channel event is a schedule made at reservation
+// time. Events work while they run: they schedule a closure, arm a handle
+// (a timer re-arms itself at now), cancel an id from the history or append
+// to the channel, so a dispatch makes zero, one or two pushes, and a handle
+// that re-arms itself takes back the slot its dispatch just freed.
+class LoopModelHarness {
+ public:
+  static constexpr int kTimers = 4;
+
+  LoopModelHarness() {
+    for (int k = 0; k < kTimers; ++k) {
+      Rebuild(k);
+    }
+    channel_timer_.Bind<&LoopModelHarness::ChannelFire>(this);
+  }
+
+  uint64_t Next(uint64_t bound) {
+    rng_ = rng_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (rng_ >> 33) % bound;
+  }
+
   // Near now (sometimes in the past → clamps), or far ahead.
-  auto pick_time = [&] {
-    const int64_t ahead = next(8) == 0 ? 100'000 + static_cast<int64_t>(next(100'000))
-                                       : static_cast<int64_t>(next(40)) - 5;
-    return loop.now().micros() + ahead;
-  };
-  int payload = 0;
-  // 22,000 steps of 11 ops: about 10,000 schedules, 6,000 runs, 4,000 history
-  // cancels and 2,000 timer ops.
-  for (int step = 0; step < 22000; ++step) {
-    const uint64_t op = next(11);
-    if (op < 5) {
-      const int64_t at = pick_time();
-      const int p = payload++;
-      const auto lid = loop.ScheduleAt(SimTime(at), [&loop_fired, p] { loop_fired.push_back(p); });
-      const auto mid = model.Schedule(at, p);
-      ids.emplace_back(lid, mid);
-    } else if (op < 8) {
-      EXPECT_EQ(loop.RunOne(), model.RunOne(&model_fired));
-      EXPECT_EQ(loop.now().micros(), model.now());
-    } else if (op < 10) {
-      // Cancel a random id from the history — pending, fired, or already
-      // cancelled; the two implementations must agree on the return value.
-      if (!ids.empty()) {
-        const auto& [lid, mid] = ids[next(ids.size())];
-        EXPECT_EQ(loop.Cancel(lid), model.Cancel(mid));
-      }
-    } else {
-      // Arm, re-arm or cancel the timer.
-      const bool model_was_armed = timer_mid != 0 && model.Cancel(timer_mid);
-      if (next(4) == 0) {
-        EXPECT_EQ(timer.handle.Cancel(), model_was_armed);
-        timer_mid = 0;
-      } else {
-        const int64_t at = pick_time();
-        timer.payload = payload++;
-        loop.ScheduleTimerAt(SimTime(at), &timer.handle);
-        timer_mid = model.Schedule(at, timer.payload);
+  int64_t PickTime() {
+    const int64_t ahead = Next(8) == 0 ? 100'000 + static_cast<int64_t>(Next(100'000))
+                                       : static_cast<int64_t>(Next(40)) - 5;
+    return loop_.now().micros() + ahead;
+  }
+
+  void ScheduleClosure() {
+    const int64_t at = PickTime();
+    const int p = payload_++;
+    const auto lid = loop_.ScheduleAt(SimTime(at), [this, p] { Fired(p, -1); });
+    ids_.emplace_back(lid, model_.Schedule(at, p));
+  }
+
+  // Cancel a random id from the history — pending, fired, or already
+  // cancelled; the two implementations must agree on the return value.
+  void CancelFromHistory() {
+    if (!ids_.empty()) {
+      const auto& [lid, mid] = ids_[Next(ids_.size())];
+      EXPECT_EQ(loop_.Cancel(lid), model_.Cancel(mid));
+    }
+  }
+
+  void ArmTimer(int k, int64_t at) {
+    ModelCancelTimer(k);
+    Timer& timer = *timers_[k];
+    timer.payload = payload_++;
+    loop_.ScheduleTimerAt(SimTime(at), &timer.handle);
+    timer_mids_[k] = model_.Schedule(at, timer.payload);
+  }
+
+  void CancelTimer(int k) {
+    const bool model_was_armed = ModelCancelTimer(k);
+    EXPECT_EQ(timers_[k]->handle.Cancel(), model_was_armed);
+  }
+
+  // Destroy timer k (its destructor cancels it) and build a fresh one.
+  void Rebuild(int k) {
+    if (timers_[k] != nullptr) {
+      const size_t wheel_before = loop_.wheel_pending();
+      const bool pending = timers_[k]->handle.pending();
+      EXPECT_EQ(pending, ModelCancelTimer(k));
+      timers_[k].reset();
+      if (pending && loop_.wheel_pending() == wheel_before) {
+        ++heap_rebuilds_;
       }
     }
-    ASSERT_EQ(loop.pending_count(), model.pending()) << "diverged at step " << step;
+    timers_[k] = std::make_unique<Timer>();
+    timers_[k]->harness = this;
+    timers_[k]->index = k;
+    timers_[k]->handle.Bind<&Timer::Fire>(timers_[k].get());
   }
-  while (model.RunOne(&model_fired)) {
-    EXPECT_TRUE(loop.RunOne());
+
+  // Append at `at`, or at the tail's time if that is later: the channel
+  // stays sorted, as a Lan's queue does.
+  void ChannelAppend(int64_t at) {
+    at = std::max(at, loop_.now().micros());
+    if (!channel_.empty()) {
+      at = std::max(at, channel_.back().time);
+    }
+    const int p = payload_++;
+    const EventLoop::EventId id = loop_.ReserveSequence();
+    model_.Schedule(at, p);
+    channel_.push_back(ChannelEvent{at, id, p});
+    if (channel_.size() == 1) {
+      loop_.ScheduleReserved(SimTime(at), id, &channel_timer_);
+    }
   }
-  EXPECT_FALSE(loop.RunOne());
-  EXPECT_EQ(loop_fired, model_fired);
-  EXPECT_EQ(loop.now().micros(), model.now());
+
+  // One main-loop operation: 5 in 11 schedule, 3 run, 2 cancel from the
+  // history and 1 drives the timers and the channel.
+  void Step() {
+    const uint64_t op = Next(11);
+    if (op < 5) {
+      ScheduleClosure();
+    } else if (op < 8) {
+      RunOne();
+    } else if (op < 10) {
+      CancelFromHistory();
+    } else {
+      const uint64_t what = Next(8);
+      const int k = static_cast<int>(Next(kTimers));
+      if (what < 3) {
+        ArmTimer(k, PickTime());
+      } else if (what < 4) {
+        CancelTimer(k);
+      } else if (what < 6) {
+        Rebuild(k);
+      } else {
+        ChannelAppend(PickTime());
+      }
+    }
+  }
+
+  // The model fires first, so the loop's event finds the model in its
+  // post-dispatch state when it works.
+  bool RunOne() {
+    const bool model_ran = model_.RunOne(&model_fired_);
+    EXPECT_EQ(loop_.RunOne(), model_ran);
+    EXPECT_EQ(loop_.now().micros(), model_.now());
+    return model_ran;
+  }
+
+  // The loop counts a busy channel once; the model counts its events.
+  size_t loop_pending_as_model() const {
+    return loop_.pending_count() - (channel_.empty() ? 0 : 1) + channel_.size();
+  }
+  size_t model_pending() const { return model_.pending(); }
+  const std::vector<int>& loop_fired() const { return loop_fired_; }
+  const std::vector<int>& model_fired() const { return model_fired_; }
+  int heap_rebuilds() const { return heap_rebuilds_; }
+  EventLoop& loop() { return loop_; }
+
+ private:
+  struct Timer {
+    LoopModelHarness* harness = nullptr;
+    int index = 0;
+    int payload = 0;
+    TimerHandle handle;
+    void Fire() { harness->TimerFired(index); }
+  };
+  struct ChannelEvent {
+    int64_t time;
+    EventLoop::EventId id;
+    int payload;
+  };
+
+  bool ModelCancelTimer(int k) {
+    const bool was_armed = timer_mids_[k] != 0 && model_.Cancel(timer_mids_[k]);
+    timer_mids_[k] = 0;
+    return was_armed;
+  }
+
+  void TimerFired(int k) {
+    timer_mids_[k] = 0;
+    Fired(timers_[k]->payload, k);
+  }
+
+  void ChannelFire() {
+    const ChannelEvent head = channel_.front();
+    channel_.pop_front();
+    if (!channel_.empty()) {
+      loop_.ScheduleReserved(SimTime(channel_.front().time), channel_.front().id,
+                             &channel_timer_);
+    }
+    Fired(head.payload, -1);
+  }
+
+  // What a running event does; `self` is the firing timer, or -1.
+  void Fired(int payload, int self) {
+    loop_fired_.push_back(payload);
+    switch (Next(8)) {
+      case 0:
+        ScheduleClosure();
+        break;
+      case 1: {
+        const int k = self >= 0 && Next(2) == 0 ? self : static_cast<int>(Next(kTimers));
+        ArmTimer(k, k == self ? loop_.now().micros() : PickTime());
+        break;
+      }
+      case 2:
+        CancelFromHistory();
+        break;
+      case 3:
+        ScheduleClosure();
+        ArmTimer(static_cast<int>(Next(kTimers)), PickTime());
+        break;
+      case 4:
+        ChannelAppend(PickTime());
+        break;
+      default:
+        break;  // no push
+    }
+  }
+
+  EventLoop loop_;
+  ModelLoop model_;
+  uint64_t rng_ = 12345;
+  int payload_ = 0;
+  int heap_rebuilds_ = 0;
+  std::vector<int> loop_fired_;
+  std::vector<int> model_fired_;
+  std::vector<std::pair<EventLoop::EventId, uint64_t>> ids_;  // (loop id, model id)
+  std::unique_ptr<Timer> timers_[kTimers];
+  uint64_t timer_mids_[kTimers] = {};  // each timer's model id while armed
+  std::deque<ChannelEvent> channel_;
+  TimerHandle channel_timer_;
+};
+
+// 22,000 main-loop steps: about 10,000 schedules, 6,000 runs, 4,000 history
+// cancels and 2,000 timer and channel operations (310 of them rebuild a
+// heap-resident timer). The 6,100 events those runs fire add about 1,500
+// schedules, 1,560 arms, 800 appends and 780 history cancels, so history
+// cancels stay at 18% of all operations. The drain then runs the remaining
+// 5,000 events and whatever they schedule until both queues are empty.
+TEST(EventLoopTest, RandomizedAgainstMapModel) {
+  LoopModelHarness h;
+  for (int step = 0; step < 22000; ++step) {
+    h.Step();
+    ASSERT_EQ(h.loop_pending_as_model(), h.model_pending()) << "diverged at step " << step;
+    ASSERT_EQ(h.loop_fired().size(), h.model_fired().size()) << "diverged at step " << step;
+  }
+  while (h.RunOne()) {
+  }
+  EXPECT_FALSE(h.loop().RunOne());
+  EXPECT_EQ(h.loop_fired(), h.model_fired());
+  EXPECT_GE(h.heap_rebuilds(), 100);
+}
+
+// A handle may outlive the loop it was armed on (a session destroyed after
+// its Network). The loop detaches its handles when it dies, and an idle
+// handle's Cancel never touches its loop, so both handles here read
+// !pending() and their destructors run cleanly; under ASan a call into the
+// freed loop would be a heap-use-after-free.
+TEST(EventLoopTest, ArmedHandlesOutliveTheirLoop) {
+  struct Owner {
+    TimerHandle handle;
+    void Fire() {}
+  };
+  Owner in_wheel;
+  Owner in_heap;
+  in_wheel.handle.Bind<&Owner::Fire>(&in_wheel);
+  in_heap.handle.Bind<&Owner::Fire>(&in_heap);
+  auto loop = std::make_unique<EventLoop>();
+  loop->ScheduleTimerAt(SimTime() + Seconds(10), &in_wheel.handle);
+  loop->ScheduleReserved(SimTime(5), loop->ReserveSequence(), &in_heap.handle);
+  ASSERT_EQ(loop->pending_count(), 2u);
+  ASSERT_EQ(loop->wheel_pending(), 1u);
+  loop.reset();
+  EXPECT_FALSE(in_wheel.handle.pending());
+  EXPECT_FALSE(in_heap.handle.pending());
+  EXPECT_FALSE(in_wheel.handle.Cancel());
+  EXPECT_FALSE(in_heap.handle.Cancel());
 }
 
 TEST(AddressTest, ParseAndFormat) {
