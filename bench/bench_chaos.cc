@@ -94,7 +94,6 @@ TrialResult RunTrial(uint64_t seed, bool symmetric, std::string* metrics_json = 
   UdpHolePuncher pa(&ca, punch);
   UdpHolePuncher pb(&cb, punch);
   ResilientSessionConfig resilient;
-  resilient.backoff_initial = Millis(500);
   resilient.max_repunch_attempts = 4;
   resilient.turn_server = turn.endpoint();
   ResilientSessionManager ma(&pa, resilient);

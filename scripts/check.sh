@@ -13,8 +13,11 @@
 #   NATPUNCH_ASAN=1 scripts/check.sh # ...then rebuild the chaos/failure,
 #                                    # LAN/Network, event-loop (model and edge
 #                                    # cases)/timer-wheel, golden-trace, NAT
-#                                    # table/device and core punching tests
-#                                    # under -fsanitize=address,undefined and
+#                                    # table/device, core punching, TURN,
+#                                    # NAT Check, rendezvous (single and
+#                                    # sharded) and TCP tests plus the
+#                                    # gaming_lobby example under
+#                                    # -fsanitize=address,undefined and
 #                                    # re-run them (fault injection, session
 #                                    # teardown, Network::Reset with packets
 #                                    # in flight, event-slot reuse, dispatch-
@@ -89,9 +92,12 @@ if [[ "${NATPUNCH_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${NATPUNCH_ASAN:-0}" == "1" ]]; then
-  echo "==== ASan/UBSan pass: rebuilding chaos/failure/LAN/event-loop/golden-trace/NAT/punching tests with -fsanitize=address,undefined ===="
+  echo "==== ASan/UBSan pass: rebuilding chaos/failure/LAN/event-loop/golden-trace/NAT/punching/TURN/NAT Check/rendezvous/TCP tests and gaming_lobby with -fsanitize=address,undefined ===="
+  # NatCheckTest is anchored: the unbuilt fleet_test shares natcheck_test's
+  # FleetTest suite name, so only NatCheckTest is selected from that binary.
   sanitizer_pass "$ASAN_BUILD_DIR" address,undefined \
-    'Chaos|FailureTest|LanTest|NetworkTest|EventLoopTest|EventLoopEdgeTest|TraceGoldenTest|TimerWheel|^(UdpPunch|TcpPunch|Relay|Prober|Prediction|Connector|NatTable|NatDevice|BasicNat|Contention)Test\.|/NatTableModelTest\.' \
+    'Chaos|FailureTest|LanTest|NetworkTest|EventLoopTest|EventLoopEdgeTest|TraceGoldenTest|TimerWheel|^(UdpPunch|TcpPunch|Relay|Prober|Prediction|Connector|NatTable|NatDevice|BasicNat|Contention|TurnCodec|Turn|NatCheck|Framer|RendezvousCodec|Rendezvous|ShardMessage|ShardRing|ShardedTier|Tcp)Test\.|/NatTableModelTest\.|^ShardedTierByteIdentity\.|^example_gaming_lobby$' \
     chaos_test failure_test netsim_test misc_test timer_wheel_test trace_golden_test core_test \
-    nat_test nat_table_model_test extensions_test
+    nat_test nat_table_model_test extensions_test turn_test natcheck_test rendezvous_test \
+    rendezvous_shard_test tcp_test gaming_lobby
 fi

@@ -18,7 +18,7 @@
 # Environment knobs:
 #   BUILD_DIR (default: build)
 #   OUT_DIR   (default: memprof-out)
-#   NATPUNCH_SWARM_SESSIONS / _PAIRS pass through to the bench.
+#   NATPUNCH_SWARM_SESSIONS passes through to the bench.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -4,59 +4,6 @@
 
 namespace natpunch {
 
-Status P2pChannel::Send(Bytes payload) {
-  if (kind_ == Kind::kPunched) {
-    return session_->Send(std::move(payload));
-  }
-  return relay_->Send(std::move(payload));
-}
-
-void P2pChannel::SetReceiveCallback(ReceiveCallback cb) {
-  if (kind_ == Kind::kPunched) {
-    session_->SetReceiveCallback(std::move(cb));
-  } else {
-    relay_->SetReceiveCallback(std::move(cb));
-  }
-}
-
-UdpConnector::UdpConnector(UdpRendezvousClient* rendezvous, Options options)
-    : options_(options), puncher_(rendezvous, options.punch), relay_hub_(rendezvous) {
-  puncher_.SetIncomingSessionCallback([this](UdpP2pSession* session) {
-    P2pChannel* channel = WrapSession(session);
-    if (incoming_cb_) {
-      incoming_cb_(channel);
-    }
-  });
-  relay_hub_.SetIncomingChannelCallback([this](RelayChannel* relay) {
-    P2pChannel* channel = WrapRelay(relay);
-    if (incoming_cb_) {
-      incoming_cb_(channel);
-    }
-  });
-}
-
-P2pChannel* UdpConnector::WrapSession(UdpP2pSession* session) {
-  channels_.push_back(std::make_unique<P2pChannel>());
-  P2pChannel* channel = channels_.back().get();
-  channel->kind_ = P2pChannel::Kind::kPunched;
-  channel->peer_id_ = session->peer_id();
-  channel->session_ = session;
-  return channel;
-}
-
-P2pChannel* UdpConnector::WrapRelay(RelayChannel* relay) {
-  channels_.push_back(std::make_unique<P2pChannel>());
-  P2pChannel* channel = channels_.back().get();
-  channel->kind_ = P2pChannel::Kind::kRelayed;
-  channel->peer_id_ = relay->peer_id();
-  channel->relay_ = relay;
-  return channel;
-}
-
-// ---------------------------------------------------------------------------
-// TcpConnector
-// ---------------------------------------------------------------------------
-
 Status TcpChannel::Send(Bytes payload) {
   if (kind_ == Kind::kStream) {
     return stream_->Send(std::move(payload));
@@ -72,8 +19,8 @@ void TcpChannel::SetReceiveCallback(ReceiveCallback cb) {
   }
 }
 
-TcpConnector::TcpConnector(TcpRendezvousClient* rendezvous, Options options)
-    : options_(options), puncher_(rendezvous, options.punch), relay_hub_(rendezvous) {
+TcpConnector::TcpConnector(TcpRendezvousClient* rendezvous, TcpPunchConfig punch)
+    : puncher_(rendezvous, punch), relay_hub_(rendezvous) {
   puncher_.SetIncomingStreamCallback([this](TcpP2pStream* stream) {
     TcpChannel* channel = WrapStream(stream);
     if (incoming_cb_) {
@@ -113,28 +60,7 @@ void TcpConnector::Connect(uint64_t peer_id, std::function<void(Result<TcpChanne
       cb(WrapStream(*result));
       return;
     }
-    if (!options_.relay_fallback) {
-      cb(result.status());
-      return;
-    }
     NP_LOG(Info) << "TCP punch to " << peer_id << " failed ("
-                 << result.status().ToString() << "); falling back to relay";
-    cb(WrapRelay(relay_hub_.OpenChannel(peer_id)));
-  });
-}
-
-void UdpConnector::Connect(uint64_t peer_id, std::function<void(Result<P2pChannel*>)> cb) {
-  puncher_.ConnectToPeer(peer_id, [this, peer_id,
-                                   cb = std::move(cb)](Result<UdpP2pSession*> result) {
-    if (result.ok()) {
-      cb(WrapSession(*result));
-      return;
-    }
-    if (!options_.relay_fallback) {
-      cb(result.status());
-      return;
-    }
-    NP_LOG(Info) << "hole punch to " << peer_id << " failed ("
                  << result.status().ToString() << "); falling back to relay";
     cb(WrapRelay(relay_hub_.OpenChannel(peer_id)));
   });

@@ -1,84 +1,31 @@
-// UdpConnector: the "just get me a channel" facade examples use.
+// TcpConnector: the "just get me a channel" facade for TCP.
 //
 // Mirrors the strategy ladder a production application (or ICE) runs: try
-// hole punching first; when the NATs won't cooperate (§5.1 symmetric
-// mapping, etc.), fall back to relaying through S, which always works
-// (§2.2). The resulting Channel hides which path is in use but reports it,
-// so applications can display "direct" vs "relayed" like real P2P apps do.
+// TCP hole punching first; when the NATs won't cooperate (§5.1 symmetric
+// mapping, §5.2 RSTs, etc.), fall back to relaying through S, which always
+// works (§2.2). The resulting channel hides which path is in use but
+// reports it, so applications can display "direct" vs "relayed" like real
+// P2P apps do.
+//
+// UDP callers use ResilientSessionManager (src/core/resilient_session.h),
+// which runs the same punch-then-relay ladder over a TURN relay and also
+// recovers sessions that die later.
 
 #ifndef SRC_CORE_CONNECTOR_H_
 #define SRC_CORE_CONNECTOR_H_
 
 #include "src/core/relay.h"
 #include "src/core/tcp_puncher.h"
-#include "src/core/udp_puncher.h"
 
 namespace natpunch {
 
-class UdpConnector;
 class TcpConnector;
 
-class P2pChannel {
- public:
-  enum class Kind { kPunched, kRelayed };
-  using ReceiveCallback = std::function<void(const Bytes& payload)>;
-
-  Status Send(Bytes payload);
-  void SetReceiveCallback(ReceiveCallback cb);
-
-  Kind kind() const { return kind_; }
-  uint64_t peer_id() const { return peer_id_; }
-  UdpP2pSession* session() const { return session_; }
-  RelayChannel* relay() const { return relay_; }
-
- private:
-  friend class UdpConnector;
-
-  Kind kind_ = Kind::kRelayed;
-  uint64_t peer_id_ = 0;
-  UdpP2pSession* session_ = nullptr;
-  RelayChannel* relay_ = nullptr;
-};
-
-class UdpConnector {
- public:
-  struct Options {
-    UdpPunchConfig punch;
-    bool relay_fallback = true;
-  };
-
-  UdpConnector(UdpRendezvousClient* rendezvous, Options options);
-  explicit UdpConnector(UdpRendezvousClient* rendezvous)
-      : UdpConnector(rendezvous, Options{}) {}
-
-  // Punch, falling back to relay. The callback always succeeds when relay
-  // fallback is enabled and the peer is registered.
-  void Connect(uint64_t peer_id, std::function<void(Result<P2pChannel*>)> cb);
-
-  // Channels opened by remote peers (punched or relayed).
-  void SetIncomingChannelCallback(std::function<void(P2pChannel*)> cb) {
-    incoming_cb_ = std::move(cb);
-  }
-
-  UdpHolePuncher& puncher() { return puncher_; }
-  RelayHub& relay_hub() { return relay_hub_; }
-
- private:
-  P2pChannel* WrapSession(UdpP2pSession* session);
-  P2pChannel* WrapRelay(RelayChannel* relay);
-
-  Options options_;
-  UdpHolePuncher puncher_;
-  RelayHub relay_hub_;
-  std::vector<std::unique_ptr<P2pChannel>> channels_;
-  std::function<void(P2pChannel*)> incoming_cb_;
-};
-
-// The TCP flavor: a punched authenticated stream when the NATs allow it,
-// otherwise a message channel relayed over the rendezvous connection. Both
-// present the same message-oriented interface (the relay is not a byte
-// stream, so the common denominator is framed messages — which is what the
-// punched path's TcpP2pStream carries anyway).
+// A punched authenticated stream when the NATs allow it, otherwise a
+// message channel relayed over the rendezvous connection. Both present the
+// same message-oriented interface (the relay is not a byte stream, so the
+// common denominator is framed messages — which is what the punched path's
+// TcpP2pStream carries anyway).
 class TcpChannel {
  public:
   enum class Kind { kStream, kRelayed };
@@ -103,15 +50,10 @@ class TcpChannel {
 
 class TcpConnector {
  public:
-  struct Options {
-    TcpPunchConfig punch;
-    bool relay_fallback = true;
-  };
+  explicit TcpConnector(TcpRendezvousClient* rendezvous, TcpPunchConfig punch = TcpPunchConfig{});
 
-  TcpConnector(TcpRendezvousClient* rendezvous, Options options);
-  explicit TcpConnector(TcpRendezvousClient* rendezvous)
-      : TcpConnector(rendezvous, Options{}) {}
-
+  // Punch, falling back to relay. The callback always succeeds when the
+  // peer is registered.
   void Connect(uint64_t peer_id, std::function<void(Result<TcpChannel*>)> cb);
   void SetIncomingChannelCallback(std::function<void(TcpChannel*)> cb) {
     incoming_cb_ = std::move(cb);
@@ -124,7 +66,6 @@ class TcpConnector {
   TcpChannel* WrapStream(TcpP2pStream* stream);
   TcpChannel* WrapRelay(RelayChannel* relay);
 
-  Options options_;
   TcpHolePuncher puncher_;
   RelayHub relay_hub_;
   std::vector<std::unique_ptr<TcpChannel>> channels_;

@@ -3,6 +3,14 @@
 #include "src/util/logging.h"
 
 namespace natpunch {
+namespace {
+
+// Each probe step is sent up to kAttemptsPerStep times, kReplyTimeout
+// apart, before the step is declared unanswered.
+constexpr SimDuration kReplyTimeout = Millis(800);
+constexpr int kAttemptsPerStep = 3;
+
+}  // namespace
 
 std::string NatProbeReport::ToString() const {
   std::string out = "NatProbeReport{";
@@ -33,10 +41,7 @@ struct NatProber::Run {
 };
 
 NatProber::NatProber(Host* host, Endpoint server1, Endpoint server2)
-    : NatProber(host, server1, server2, Config{}) {}
-
-NatProber::NatProber(Host* host, Endpoint server1, Endpoint server2, Config config)
-    : host_(host), server1_(server1), server2_(server2), config_(config) {}
+    : host_(host), server1_(server1), server2_(server2) {}
 
 void NatProber::Probe(uint16_t local_port, std::function<void(Result<NatProbeReport>)> cb) {
   auto bound = host_->udp().Bind(local_port);
@@ -128,12 +133,12 @@ void NatProber::StepEcho(std::shared_ptr<Run> run, int step) {
   run->socket->SendTo(target, EncodeProbeMessage(request));
   ++run->attempts;
 
-  run->timer = host_->loop().ScheduleAfter(config_.reply_timeout, [this, run, step] {
+  run->timer = host_->loop().ScheduleAfter(kReplyTimeout, [this, run, step] {
     run->timer = EventLoop::kInvalidEventId;
     if (run->done || run->step != step) {
       return;
     }
-    if (run->attempts < config_.retries_per_step) {
+    if (run->attempts < kAttemptsPerStep) {
       StepEcho(run, step);
       return;
     }

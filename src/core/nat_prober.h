@@ -37,14 +37,8 @@ struct NatProbeReport {
 
 class NatProber {
  public:
-  struct Config {
-    SimDuration reply_timeout = Millis(800);
-    int retries_per_step = 3;
-  };
-
   // server1 must have server2 configured as its partner.
   NatProber(Host* host, Endpoint server1, Endpoint server2);
-  NatProber(Host* host, Endpoint server1, Endpoint server2, Config config);
 
   // Runs the probe sequence from a fresh socket bound to local_port
   // (0 = ephemeral). The socket is closed afterwards.
@@ -59,7 +53,6 @@ class NatProber {
   Host* host_;
   Endpoint server1_;
   Endpoint server2_;
-  Config config_;
 };
 
 }  // namespace natpunch

@@ -4,14 +4,17 @@
 #include "src/util/logging.h"
 
 namespace natpunch {
+namespace {
 
-PredictivePuncher::PredictivePuncher(UdpHolePuncher* puncher, Endpoint stun1, Endpoint stun2,
-                                     PredictiveConfig config)
-    : puncher_(puncher),
-      rendezvous_(puncher->rendezvous()),
-      stun1_(stun1),
-      stun2_(stun2),
-      config_(config) {
+// Each STUN-like echo is sent up to kSampleAttempts times, kSampleTimeout
+// apart, before the sample fails.
+constexpr SimDuration kSampleTimeout = Millis(800);
+constexpr int kSampleAttempts = 3;
+
+}  // namespace
+
+PredictivePuncher::PredictivePuncher(UdpHolePuncher* puncher, Endpoint stun1, Endpoint stun2)
+    : puncher_(puncher), rendezvous_(puncher->rendezvous()), stun1_(stun1), stun2_(stun2) {
   puncher_->SetRawTrafficHandler(
       [this](const Endpoint& from, const Payload& payload) { OnRaw(from, payload); });
   rendezvous_->SetConnectForwardHandler(
@@ -110,13 +113,12 @@ void PredictivePuncher::SendSample(std::shared_ptr<Sample> sample) {
   const Endpoint target = sample->stage == 0 ? stun1_ : stun2_;
   rendezvous_->socket()->SendTo(target, EncodeProbeMessage(request));
   ++sample->attempts;
-  sample->timer = rendezvous_->host()->loop().ScheduleAfter(config_.sample_timeout, [this,
-                                                                                     sample] {
+  sample->timer = rendezvous_->host()->loop().ScheduleAfter(kSampleTimeout, [this, sample] {
     sample->timer = EventLoop::kInvalidEventId;
     if (sample != active_sample_) {
       return;
     }
-    if (sample->attempts < config_.sample_retries) {
+    if (sample->attempts < kSampleAttempts) {
       SendSample(sample);
       return;
     }

@@ -16,18 +16,12 @@
 
 namespace natpunch {
 
-struct PredictiveConfig {
-  SimDuration sample_timeout = Millis(800);
-  int sample_retries = 3;
-};
-
 class PredictivePuncher {
  public:
   // Shares the rendezvous client's socket (and therefore its NAT mapping
   // chain — prediction must sample the same chain it punches on). Claims
   // the puncher's raw-traffic hook and the kPredicted forward handler.
-  PredictivePuncher(UdpHolePuncher* puncher, Endpoint stun1, Endpoint stun2,
-                    PredictiveConfig config = PredictiveConfig{});
+  PredictivePuncher(UdpHolePuncher* puncher, Endpoint stun1, Endpoint stun2);
 
   void ConnectToPeer(uint64_t peer_id, UdpHolePuncher::SessionCallback cb);
 
@@ -55,7 +49,6 @@ class PredictivePuncher {
   UdpRendezvousClient* rendezvous_;
   Endpoint stun1_;
   Endpoint stun2_;
-  PredictiveConfig config_;
   std::shared_ptr<Sample> active_sample_;
   std::map<uint64_t, UdpHolePuncher::SessionCallback> pending_;  // by nonce
 };

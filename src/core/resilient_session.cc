@@ -33,6 +33,25 @@ std::optional<Endpoint> DecodeRelayEndpoint(const Bytes& data) {
 // would otherwise ping-pong forever at network RTT).
 constexpr uint8_t kKeepAliveReplyMarker = 1;
 
+// Re-punch backoff: delay_n = min(kBackoffInitial * kBackoffFactor^n,
+// kBackoffMax), each delay scaled by a uniform +/- kBackoffJitter fraction
+// drawn from the host rng (so two peers recovering simultaneously do not
+// stampede in lockstep, yet the whole schedule stays reproducible under a
+// fixed seed).
+constexpr SimDuration kBackoffInitial = Millis(500);
+constexpr double kBackoffFactor = 2.0;
+constexpr SimDuration kBackoffMax = Seconds(8);
+constexpr double kBackoffJitter = 0.2;
+
+// Cap on datagrams buffered while a session is between paths.
+constexpr size_t kMaxPendingSends = 128;
+
+// Adaptive relay watchdog (ResilientSessionConfig explains the clamp): the
+// srtt multiple, and the floor that keeps a tiny srtt from collapsing the
+// window.
+constexpr double kRelayRttMargin = 6.0;
+constexpr SimDuration kRelayTimeoutFloor = Seconds(8);
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -47,7 +66,7 @@ Status ResilientSession::Send(Bytes payload) {
       }
       [[fallthrough]];  // death noticed between watchdog ticks: buffer
     case Path::kConnecting:
-      if (pending_sends_.size() >= manager_->config().max_pending_sends) {
+      if (pending_sends_.size() >= kMaxPendingSends) {
         manager_->CountDroppedSend(this);
         return Status(ErrorCode::kWouldBlock, "recovery send buffer full");
       }
@@ -55,7 +74,7 @@ Status ResilientSession::Send(Bytes payload) {
       return Status::Ok();
     case Path::kRelay:
       if (!relay_confirmed_) {
-        if (pending_sends_.size() >= manager_->config().max_pending_sends) {
+        if (pending_sends_.size() >= kMaxPendingSends) {
           manager_->CountDroppedSend(this);
           return Status(ErrorCode::kWouldBlock, "recovery send buffer full");
         }
@@ -251,14 +270,11 @@ void ResilientSessionManager::OnInnerDead(ResilientSession* rs, Status status) {
 }
 
 SimDuration ResilientSessionManager::NextBackoff(const ResilientSession* rs) {
-  const double factor = std::pow(config_.backoff_factor, rs->repunch_attempts_);
-  double micros = static_cast<double>(config_.backoff_initial.micros()) * factor;
-  micros = std::min(micros, static_cast<double>(config_.backoff_max.micros()));
-  if (config_.jitter > 0.0) {
-    Rng& rng = puncher_->rendezvous()->host()->rng();
-    const double scale = 1.0 + config_.jitter * (2.0 * rng.NextDouble() - 1.0);
-    micros *= scale;
-  }
+  const double factor = std::pow(kBackoffFactor, rs->repunch_attempts_);
+  double micros = static_cast<double>(kBackoffInitial.micros()) * factor;
+  micros = std::min(micros, static_cast<double>(kBackoffMax.micros()));
+  Rng& rng = puncher_->rendezvous()->host()->rng();
+  micros *= 1.0 + kBackoffJitter * (2.0 * rng.NextDouble() - 1.0);
   return SimDuration(std::max<int64_t>(1, static_cast<int64_t>(micros)));
 }
 
@@ -443,7 +459,7 @@ void ResilientSessionManager::ResponderRelayKeepAlive(ResilientSession* rs) {
       rs->relay_confirmed_
           ? Micros(std::max<int64_t>(1, puncher_->config().keepalive_interval.micros() +
                                             rs->relay_keepalive_offset_.micros()))
-          : puncher_->config().probe_interval;
+          : UdpHolePuncher::kProbeInterval;
   loop_.ScheduleTimerAfter(interval, &rs->relay_keepalive_timer_);
 }
 
@@ -492,19 +508,19 @@ void ResilientSessionManager::RelayWatchdogTick(ResilientSession* rs) {
 }
 
 SimDuration ResilientSessionManager::EffectiveRelayTimeout(const ResilientSession* rs) const {
-  if (!config_.adaptive_relay_timeout || rs->relay_srtt_.micros() == 0) {
+  if (rs->relay_srtt_.micros() == 0) {
     return config_.relay_timeout;
   }
   // Two whole keepalive rounds (tolerates one lost round outright) plus a
   // generous multiple of the observed leg RTT for queueing excursions.
   const int64_t adaptive_us =
       2 * config_.relay_keepalive_interval.micros() +
-      static_cast<int64_t>(config_.relay_rtt_margin * rs->relay_srtt_.micros());
+      static_cast<int64_t>(kRelayRttMargin * rs->relay_srtt_.micros());
   // The static relay_timeout stays the hard ceiling even when it sits below
   // the floor (tests dial it down); the floor only guards against a tiny
   // srtt collapsing the window.
   const int64_t floor_us =
-      std::min(config_.relay_timeout_floor.micros(), config_.relay_timeout.micros());
+      std::min(kRelayTimeoutFloor.micros(), config_.relay_timeout.micros());
   return Micros(std::clamp(adaptive_us, floor_us, config_.relay_timeout.micros()));
 }
 

@@ -36,22 +36,12 @@
 namespace natpunch {
 
 struct ResilientSessionConfig {
-  // Re-punch backoff: delay_n = min(initial * factor^n, max), each delay
-  // scaled by a uniform +/- jitter fraction drawn from the host rng (so two
-  // peers recovering simultaneously do not stampede in lockstep, yet the
-  // whole schedule stays reproducible under a fixed seed).
-  SimDuration backoff_initial = Millis(500);
-  double backoff_factor = 2.0;
-  SimDuration backoff_max = Seconds(8);
-  double jitter = 0.2;
   // Failed re-punch attempts before giving up on the direct path. With a
   // TURN server configured the session then falls back to the relay;
   // without one it is declared failed.
   int max_repunch_attempts = 3;
   // Unspecified => no relay fallback.
   Endpoint turn_server;
-  // Cap on datagrams buffered while the session is between paths.
-  size_t max_pending_sends = 128;
   // Relay-leg watchdog: while on the relay path the initiator sends
   // keepalives through the relay every relay_keepalive_interval (the
   // responder already knocks at the puncher's keepalive cadence), and each
@@ -60,20 +50,17 @@ struct ResilientSessionConfig {
   // re-punch with backoff, then a fresh relay allocation — so a rebooted
   // relay server is picked up automatically. relay_timeout must exceed
   // both keepalive cadences or an idle-but-healthy leg false-positives.
+  //
+  // Keepalives double as RTT probes: a probe (empty payload) is echoed by
+  // the peer with a one-byte reply marker, and each side keeps an EWMA of
+  // the probe->inbound delay. Once sampled, the watchdog waits
+  // clamp(2 * relay_keepalive_interval + 6 * srtt, 8 s, relay_timeout) of
+  // silence instead of the static relay_timeout — at simulated RTTs that
+  // is ~10 s instead of 30 s, while still tolerating one whole lost
+  // keepalive round. Until the first RTT sample the static relay_timeout
+  // applies.
   SimDuration relay_keepalive_interval = Seconds(5);
   SimDuration relay_timeout = Seconds(30);
-  // Adaptive relay failure detection. Keepalives double as RTT probes: a
-  // probe (empty payload) is echoed by the peer with a one-byte reply
-  // marker, and each side keeps an EWMA of the probe->inbound delay. The
-  // watchdog then waits clamp(2 * relay_keepalive_interval +
-  // relay_rtt_margin * srtt, relay_timeout_floor, relay_timeout) of silence
-  // instead of the static relay_timeout — at simulated RTTs that is ~10 s
-  // instead of 30 s, while still tolerating one whole lost keepalive round.
-  // Until the first RTT sample (or with the flag off) the static
-  // relay_timeout applies.
-  bool adaptive_relay_timeout = true;
-  SimDuration relay_timeout_floor = Seconds(8);
-  double relay_rtt_margin = 6.0;
   // Deterministic per-session spread on the steady (confirmed) relay
   // keepalive cadences, hashed from the peer id into
   // [-relay_keepalive_jitter, +relay_keepalive_jitter]. Breaks up swarm-wide
@@ -106,7 +93,7 @@ class ResilientSession {
   };
 
   // Application payload over whichever path is live. While recovering,
-  // payloads are buffered (up to max_pending_sends) and flushed on recovery.
+  // payloads are buffered (up to 128) and flushed on recovery.
   Status Send(Bytes payload);
 
   void SetReceiveCallback(ReceiveCallback cb) { receive_cb_ = std::move(cb); }
@@ -127,8 +114,8 @@ class ResilientSession {
   uint64_t relayed_sent() const { return relayed_sent_; }
   uint64_t relayed_received() const { return relayed_received_; }
   // Datagrams rejected because the between-paths buffer was full (the send
-  // queue is bounded by max_pending_sends; overflow is dropped and counted,
-  // never buffered unboundedly).
+  // queue holds at most 128; overflow is dropped and counted, never
+  // buffered unboundedly).
   uint64_t sends_dropped() const { return sends_dropped_; }
   // Times the relay-leg watchdog declared the relay dead.
   int relay_losses() const { return relay_losses_; }
@@ -224,7 +211,6 @@ class ResilientSessionManager {
   ResilientSession* FindSession(uint64_t peer_id);
   size_t session_count() const { return sessions_.size(); }
   UdpHolePuncher* puncher() const { return puncher_; }
-  const ResilientSessionConfig& config() const { return config_; }
 
  private:
   friend class ResilientSession;

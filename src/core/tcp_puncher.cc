@@ -3,6 +3,13 @@
 #include "src/util/logging.h"
 
 namespace natpunch {
+namespace {
+
+// §4.2 step 4: re-try a failed connection attempt "after a short delay
+// (e.g., one second)".
+constexpr SimDuration kRetryDelay = Seconds(1);
+
+}  // namespace
 
 TcpHolePuncher::TcpHolePuncher(TcpRendezvousClient* rendezvous, TcpPunchConfig config)
     : rendezvous_(rendezvous), config_(config), loop_(rendezvous->host()->loop()) {
@@ -152,8 +159,8 @@ void TcpHolePuncher::HandleConnectFailure(uint64_t nonce, size_t index, const St
       break;
   }
   // §4.2 step 4: retry after a short delay, until the attempt deadline.
-  candidate.retry_event = loop_.ScheduleAfter(
-      config_.retry_delay, [this, nonce, index] { LaunchCandidate(nonce, index); });
+  candidate.retry_event =
+      loop_.ScheduleAfter(kRetryDelay, [this, nonce, index] { LaunchCandidate(nonce, index); });
 }
 
 void TcpHolePuncher::SendAuth(PendingStream* pending, PeerMsgType type, uint64_t nonce) {

@@ -25,9 +25,6 @@
 namespace natpunch {
 
 struct TcpPunchConfig {
-  // §4.2 step 4: re-try a failed connection attempt "after a short delay
-  // (e.g., one second)".
-  SimDuration retry_delay = Seconds(1);
   SimDuration punch_timeout = Seconds(30);
   bool try_private_endpoint = true;
 };

@@ -4,7 +4,18 @@
 
 namespace natpunch {
 namespace {
+
 constexpr uint8_t kMagic = 0x54;  // 'T'
+
+// Server: an address permission lapses after this long without a kPermit
+// for, or relayed traffic from, that address.
+constexpr SimDuration kPermissionLifetime = Seconds(300);
+
+// Client: an allocate request is sent up to kRequestAttempts times,
+// kRequestTimeout apart, before the allocation fails.
+constexpr SimDuration kRequestTimeout = Millis(800);
+constexpr int kRequestAttempts = 5;
+
 }  // namespace
 
 Bytes EncodeTurnMessage(const TurnMessage& msg) {
@@ -85,7 +96,7 @@ void TurnServer::SweepTick() {
   for (auto it = allocations_.begin(); it != allocations_.end();) {
     Allocation& allocation = *it->second;
     for (auto perm = allocation.permissions.begin(); perm != allocation.permissions.end();) {
-      if (now - perm->second >= config_.permission_lifetime) {
+      if (now - perm->second >= kPermissionLifetime) {
         perm = allocation.permissions.erase(perm);
       } else {
         ++perm;
@@ -156,7 +167,7 @@ void TurnServer::OnControl(const Endpoint& from, const Payload& payload) {
 void TurnServer::OnRelayed(Allocation* allocation, const Endpoint& from, const Payload& payload) {
   auto perm = allocation->permissions.find(from.ip);
   if (perm == allocation->permissions.end() ||
-      host_->loop().now() - perm->second >= config_.permission_lifetime) {
+      host_->loop().now() - perm->second >= kPermissionLifetime) {
     ++stats_.denied_no_permission;
     return;
   }
@@ -206,14 +217,14 @@ void TurnClient::SendAllocate() {
   socket_->SendTo(server_, EncodeTurnMessage(request));
   ++attempts_;
   retry_timer_.Bind<&TurnClient::RetryTick>(this);
-  host_->loop().ScheduleTimerAfter(config_.request_timeout, &retry_timer_);
+  host_->loop().ScheduleTimerAfter(kRequestTimeout, &retry_timer_);
 }
 
 void TurnClient::RetryTick() {
   if (allocated_) {
     return;
   }
-  if (attempts_ < config_.request_retries) {
+  if (attempts_ < kRequestAttempts) {
     SendAllocate();
     return;
   }

@@ -51,7 +51,6 @@ std::optional<TurnMessage> DecodeTurnMessage(ConstByteSpan data);
 struct TurnServerConfig {
   uint16_t port = 3479;
   SimDuration allocation_lifetime = Seconds(600);
-  SimDuration permission_lifetime = Seconds(300);
 };
 
 class TurnServer {
@@ -109,8 +108,6 @@ class TurnServer {
 class TurnClient {
  public:
   struct Config {
-    SimDuration request_timeout = Millis(800);
-    int request_retries = 5;
     SimDuration refresh_interval = Seconds(60);  // keeps allocation + NAT flow alive
   };
 

@@ -122,7 +122,7 @@ void UdpHolePuncher::SendProbes(Attempt* attempt) {
                                     attempt->nonce);
   }
   attempt->probe_timer.Bind<&Attempt::ProbeTick>(attempt);
-  loop_.ScheduleTimerAfter(config_.probe_interval, &attempt->probe_timer);
+  loop_.ScheduleTimerAfter(kProbeInterval, &attempt->probe_timer);
 }
 
 void UdpHolePuncher::SendPeerMessage(const Endpoint& to, PeerMsgType type, uint64_t nonce,

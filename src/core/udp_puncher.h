@@ -30,7 +30,6 @@ class Histogram;
 }  // namespace obs
 
 struct UdpPunchConfig {
-  SimDuration probe_interval = Millis(200);
   SimDuration punch_timeout = Seconds(10);
   SimDuration keepalive_interval = Seconds(15);
   // Deterministic per-session spread on the keepalive cadence: each session
@@ -123,6 +122,10 @@ class UdpP2pSession {
 class UdpHolePuncher {
  public:
   using SessionCallback = std::function<void(Result<UdpP2pSession*>)>;
+
+  // Cadence of probe rounds while punching (the relay fallback's responder
+  // knocks at the same cadence until its relay leg is confirmed).
+  static constexpr SimDuration kProbeInterval = Millis(200);
 
   UdpHolePuncher(UdpRendezvousClient* rendezvous, UdpPunchConfig config = UdpPunchConfig{});
   ~UdpHolePuncher();

@@ -3,6 +3,21 @@
 #include "src/util/logging.h"
 
 namespace natpunch {
+namespace {
+
+// Each UDP ping is sent up to kUdpPingAttempts times, kUdpReplyTimeout
+// apart, before the server counts as unreachable over UDP.
+constexpr SimDuration kUdpReplyTimeout = Millis(800);
+constexpr int kUdpPingAttempts = 4;
+// After the pongs, how long to keep listening for server 3's unsolicited
+// probe before declaring the NAT "filters unsolicited traffic".
+constexpr SimDuration kUnsolicitedWait = Seconds(2);
+constexpr SimDuration kHairpinWait = Seconds(2);
+constexpr SimDuration kTcpConnectTimeout = Seconds(15);
+// The whole run reports whatever it has learned by this deadline.
+constexpr SimDuration kOverallTimeout = Seconds(60);
+
+}  // namespace
 
 std::string NatCheckReport::ToString() const {
   std::string out = "NatCheckReport{udp:";
@@ -82,7 +97,7 @@ void NatCheckClient::Run(uint16_t local_port, std::function<void(Result<NatCheck
   local_port_ = udp_socket_->local_port();
   udp_socket_->SetReceiveCallback(
       [this](const Endpoint& from, const Payload& payload) { OnUdpReceive(from, payload); });
-  deadline_timer_ = host_->loop().ScheduleAfter(config_.overall_timeout, [this] {
+  deadline_timer_ = host_->loop().ScheduleAfter(kOverallTimeout, [this] {
     // Report whatever has been learned so far rather than failing: a wedged
     // TCP phase on a weird NAT is itself a result.
     Finish();
@@ -99,12 +114,12 @@ void NatCheckClient::SendUdpPing(int server_index) {
   udp_socket_->SendTo(server_index == 1 ? servers_.udp1 : servers_.udp2,
                       EncodeNcMessage(ping));
   ++udp_attempts_;
-  udp_timer_ = host_->loop().ScheduleAfter(config_.udp_reply_timeout, [this, server_index] {
+  udp_timer_ = host_->loop().ScheduleAfter(kUdpReplyTimeout, [this, server_index] {
     udp_timer_ = EventLoop::kInvalidEventId;
     if (udp_phase_ != server_index) {
       return;  // already advanced
     }
-    if (udp_attempts_ < config_.udp_retries) {
+    if (udp_attempts_ < kUdpPingAttempts) {
       SendUdpPing(server_index);
       return;
     }
@@ -147,7 +162,7 @@ void NatCheckClient::OnUdpReceive(const Endpoint& from, const Payload& payload) 
         }
         udp_phase_ = 3;
         // Give server 3's unsolicited probe a window, then hairpin.
-        host_->loop().ScheduleAfter(config_.unsolicited_wait, [this] {
+        host_->loop().ScheduleAfter(kUnsolicitedWait, [this] {
           if (config_.test_udp_hairpin) {
             StartUdpHairpin();
           } else if (config_.test_tcp) {
@@ -191,7 +206,7 @@ void NatCheckClient::StartUdpHairpin() {
   // server 2. Note the deliberately one-way test — §6.3 discusses why this
   // can be pessimistic on hairpin-filtering NATs.
   udp_hairpin_socket_->SendTo(report_.udp_public_2, EncodeNcMessage(probe));
-  host_->loop().ScheduleAfter(config_.hairpin_wait, [this] {
+  host_->loop().ScheduleAfter(kHairpinWait, [this] {
     udp_hairpin_socket_->Close();
     if (config_.test_tcp) {
       StartTcpPhase();
@@ -327,7 +342,7 @@ void NatCheckClient::StartServer3Connect() {
     StartTcpHairpin();
     return;
   }
-  host_->loop().ScheduleAfter(config_.tcp_connect_timeout, [this, socket, decided] {
+  host_->loop().ScheduleAfter(kTcpConnectTimeout, [this, socket, decided] {
     if (*decided) {
       return;
     }
@@ -373,7 +388,7 @@ void NatCheckClient::StartTcpHairpin() {
     Finish();
     return;
   }
-  host_->loop().ScheduleAfter(config_.hairpin_wait * 3, [this] {
+  host_->loop().ScheduleAfter(kHairpinWait * 3, [this] {
     if (!done_ && report_.tcp_hairpin_tested && !report_.tcp_hairpin) {
       Finish();
     }

@@ -20,14 +20,6 @@
 namespace natpunch {
 
 struct NatCheckClientConfig {
-  SimDuration udp_reply_timeout = Millis(800);
-  int udp_retries = 4;
-  // After the pongs, how long to keep listening for server 3's unsolicited
-  // probe before declaring the NAT "filters unsolicited traffic".
-  SimDuration unsolicited_wait = Seconds(2);
-  SimDuration hairpin_wait = Seconds(2);
-  SimDuration tcp_connect_timeout = Seconds(15);
-  SimDuration overall_timeout = Seconds(60);
   // Later NAT Check versions added these (§6.2 explains the differing
   // denominators in Table 1); the fleet harness toggles them per report.
   bool test_udp_hairpin = true;

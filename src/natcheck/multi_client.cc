@@ -3,6 +3,14 @@
 #include "src/util/logging.h"
 
 namespace natpunch {
+namespace {
+
+// Each consistency ping is sent up to kPingAttempts times, kReplyTimeout
+// apart, before the probe times out.
+constexpr SimDuration kReplyTimeout = Millis(800);
+constexpr int kPingAttempts = 4;
+
+}  // namespace
 
 std::string MultiClientReport::ToString() const {
   std::string out = "MultiClientReport{solo=";
@@ -82,12 +90,12 @@ void MultiClientNatCheck::SendStage(const std::shared_ptr<Probe>& probe) {
   ping.session = probe->txn;
   probe->socket->SendTo(probe->stage == 0 ? udp1_ : udp2_, EncodeNcMessage(ping));
   ++probe->attempts;
-  probe->timer = host->loop().ScheduleAfter(config_.reply_timeout, [this, probe, host] {
+  probe->timer = host->loop().ScheduleAfter(kReplyTimeout, [this, probe, host] {
     probe->timer = EventLoop::kInvalidEventId;
     if (probe->done) {
       return;
     }
-    if (probe->attempts < config_.retries) {
+    if (probe->attempts < kPingAttempts) {
       SendStage(probe);
       return;
     }

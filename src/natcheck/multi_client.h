@@ -46,8 +46,6 @@ class MultiClientNatCheck {
  public:
   struct Config {
     uint16_t shared_private_port = 4321;
-    SimDuration reply_timeout = Millis(800);
-    int retries = 4;
   };
 
   // client1/client2: two hosts behind the NAT under test; udp1/udp2: the

@@ -3,6 +3,16 @@
 #include "src/util/logging.h"
 
 namespace natpunch {
+namespace {
+
+// §6.1.2: server 3 gives server 2 the go-ahead after kGoAheadDelay, then
+// keeps its unsolicited connect alive for kProbeLinger more.
+constexpr SimDuration kGoAheadDelay = Seconds(5);
+constexpr SimDuration kProbeLinger = Seconds(20);
+// Server 2 never leaves the client hanging if server 3's verdict is lost.
+constexpr SimDuration kVerdictTimeout = Seconds(8);
+
+}  // namespace
 
 NatCheckServers::NatCheckServers(Host* server1, Host* server2, Host* server3,
                                  NatCheckServerConfig config)
@@ -187,14 +197,14 @@ void NatCheckServers::Server3TcpProbe(uint64_t session, const Endpoint& client) 
   }
   // §6.1.2: after five seconds still "in progress" -> go-ahead, keep trying
   // for up to 20 more seconds.
-  s3->loop().ScheduleAfter(config_.go_ahead_delay, [this, session, probe, verdict_sent] {
+  s3->loop().ScheduleAfter(kGoAheadDelay, [this, session, probe, verdict_sent] {
     if (!*verdict_sent) {
       *verdict_sent = true;
       SendVerdict(session, NcProbeVerdict::kInProgress);
     }
     (void)probe;
   });
-  s3->loop().ScheduleAfter(config_.go_ahead_delay + config_.probe_linger, [probe] {
+  s3->loop().ScheduleAfter(kGoAheadDelay + kProbeLinger, [probe] {
     if (probe->state() == TcpState::kSynSent) {
       probe->Abort();
     }
@@ -247,7 +257,7 @@ void NatCheckServers::OnTcpMessage(TcpConn* conn, const NcMessage& msg) {
       forward.observed = conn->socket->remote_endpoint();
       udp_[1]->SendTo(udp_endpoint(3), EncodeNcMessage(forward));
       conn->verdict_timer =
-          hosts_[1]->loop().ScheduleAfter(config_.verdict_timeout, [this, conn] {
+          hosts_[1]->loop().ScheduleAfter(kVerdictTimeout, [this, conn] {
             conn->verdict_timer = EventLoop::kInvalidEventId;
             waiting_go_ahead_.erase(conn->session);
             ReplyTcp(conn, NcProbeVerdict::kInProgress);

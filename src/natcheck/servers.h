@@ -23,10 +23,6 @@ namespace natpunch {
 
 struct NatCheckServerConfig {
   uint16_t port = 1234;  // UDP and TCP, on every server
-  SimDuration go_ahead_delay = Seconds(5);
-  SimDuration probe_linger = Seconds(20);
-  // Server 2 never leaves the client hanging if server 3's verdict is lost.
-  SimDuration verdict_timeout = Seconds(8);
 };
 
 class NatCheckServers {

@@ -3,6 +3,17 @@
 #include "src/util/logging.h"
 
 namespace natpunch {
+namespace {
+
+// UDP control messages are the client's own reliability layer. A
+// registration, and each connect request, is sent up to 10 times, 500 ms
+// apart: enough to survive heavy loss (30% loss -> ~0.4% give-up).
+constexpr SimDuration kRegisterRetryInterval = Millis(500);
+constexpr int kRegisterAttempts = 10;
+constexpr SimDuration kRequestRetryInterval = Millis(500);
+constexpr int kRequestAttempts = 10;
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // UdpRendezvousClient
@@ -39,23 +50,23 @@ void UdpRendezvousClient::Register(uint16_t local_port, EndpointCallback cb) {
 
   // UDP registration is fire-and-retry until kRegisterOk arrives.
   ReRegister();
-  register_retry_event_ = host_->loop().ScheduleAfter(options_.register_retry_interval,
-                                                      [this] { RegisterRetryTick(); });
+  register_retry_event_ =
+      host_->loop().ScheduleAfter(kRegisterRetryInterval, [this] { RegisterRetryTick(); });
 }
 
 void UdpRendezvousClient::RegisterRetryTick() {
   if (registered_ || !register_cb_) {
     return;
   }
-  if (++register_attempts_ >= options_.register_max_retries) {
+  if (++register_attempts_ >= kRegisterAttempts) {
     auto callback = std::move(register_cb_);
     register_cb_ = nullptr;
     callback(Status(ErrorCode::kTimedOut, "registration timed out"));
     return;
   }
   ReRegister();
-  register_retry_event_ = host_->loop().ScheduleAfter(options_.register_retry_interval,
-                                                      [this] { RegisterRetryTick(); });
+  register_retry_event_ =
+      host_->loop().ScheduleAfter(kRegisterRetryInterval, [this] { RegisterRetryTick(); });
 }
 
 void UdpRendezvousClient::OnReceive(const Endpoint& from, const Payload& payload) {
@@ -208,7 +219,7 @@ void UdpRendezvousClient::RequestConnect(uint64_t peer_id, ConnectStrategy strat
     SendToServer(msg);
   };
   pending.resend();
-  pending.retry_event = host_->loop().ScheduleAfter(options_.request_retry_interval,
+  pending.retry_event = host_->loop().ScheduleAfter(kRequestRetryInterval,
                                                     [this, peer_id] { RequestRetryTick(peer_id); });
 }
 
@@ -217,7 +228,7 @@ void UdpRendezvousClient::RequestRetryTick(uint64_t peer_id) {
   if (it == pending_requests_.end()) {
     return;
   }
-  if (++it->second.attempts >= options_.request_max_retries) {
+  if (++it->second.attempts >= kRequestAttempts) {
     auto callback = std::move(it->second.cb);
     pending_requests_.erase(it);
     callback(Status(ErrorCode::kTimedOut, "connect request timed out"));
@@ -225,7 +236,7 @@ void UdpRendezvousClient::RequestRetryTick(uint64_t peer_id) {
   }
   it->second.resend();
   it->second.retry_event = host_->loop().ScheduleAfter(
-      options_.request_retry_interval, [this, peer_id] { RequestRetryTick(peer_id); });
+      kRequestRetryInterval, [this, peer_id] { RequestRetryTick(peer_id); });
 }
 
 void UdpRendezvousClient::SendConnectRequest(uint64_t peer_id, ConnectStrategy strategy,
@@ -262,7 +273,7 @@ void UdpRendezvousClient::KeepAliveTick() {
       // Mid-failover (or a lost kRegister): re-registration retries ride the
       // keepalive cadence until the new shard's kRegisterOk lands.
       ReRegister();
-    } else if (keepalive_misses_ >= options_.failover_missed_keepalives) {
+    } else if (keepalive_misses_ >= kFailoverMissedKeepalives) {
       // Every keepalive since the last ack went unanswered: the shard is
       // dead (or unreachable). Walk the deterministic ladder to the replica.
       FailOverToNextShard();

@@ -25,17 +25,6 @@ namespace natpunch {
 
 struct RendezvousClientOptions {
   bool obfuscate_addresses = false;
-  // UDP control messages are the client's own reliability layer; retry
-  // budgets are sized to survive heavy loss (30% loss -> ~0.4% give-up).
-  SimDuration register_retry_interval = Millis(500);
-  int register_max_retries = 10;
-  SimDuration request_retry_interval = Millis(500);
-  int request_max_retries = 10;
-  // Sharded tier only: consecutive unacknowledged keepalives before the
-  // client declares its shard dead and re-homes to the ring successor.
-  // Downtime is bounded by (failover_missed_keepalives + 1) keepalive
-  // intervals plus one registration round-trip.
-  int failover_missed_keepalives = 3;
 };
 
 class UdpRendezvousClient {
@@ -44,6 +33,12 @@ class UdpRendezvousClient {
   using MessageHandler = std::function<void(const RendezvousMessage&)>;
   using RelayHandler = std::function<void(uint64_t from_id, const Bytes& payload)>;
   using PeerTrafficHandler = std::function<void(const Endpoint& from, const Payload& payload)>;
+
+  // Sharded tier only: consecutive unacknowledged keepalives before the
+  // client declares its shard dead and re-homes to the ring successor.
+  // Downtime is bounded by (kFailoverMissedKeepalives + 1) keepalive
+  // intervals plus one registration round-trip.
+  static constexpr int kFailoverMissedKeepalives = 3;
 
   UdpRendezvousClient(Host* host, Endpoint server, uint64_t client_id,
                       RendezvousClientOptions options = RendezvousClientOptions{});

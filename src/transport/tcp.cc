@@ -8,6 +8,15 @@
 #include "src/util/logging.h"
 
 namespace natpunch {
+namespace {
+
+constexpr SimDuration kMaxRto = Seconds(16);  // backoff cap
+constexpr int kSynMaxRetries = 5;             // SYN retransmissions before ETIMEDOUT
+constexpr int kDataMaxRetries = 8;            // data retransmissions before reset
+constexpr uint32_t kMss = 1400;               // max payload bytes per segment
+constexpr uint32_t kReceiveWindow = 65535;
+
+}  // namespace
 
 std::string_view TcpStateName(TcpState s) {
   switch (s) {
@@ -193,7 +202,7 @@ void TcpSocket::SendControl(bool syn, bool ack, bool fin, bool rst, uint32_t seq
   p.tcp.rst = rst;
   p.tcp.seq = seq;
   p.tcp.ack_seq = ack_seq;
-  p.tcp.window = stack_->config().receive_window;
+  p.tcp.window = kReceiveWindow;
   if (rst) {
     obs::Inc(stack_->metric_rsts_sent_);
   }
@@ -209,7 +218,7 @@ void TcpSocket::SendDataSegment(uint32_t seq, Bytes payload, bool fin) {
   p.tcp.fin = fin;
   p.tcp.seq = seq;
   p.tcp.ack_seq = rcv_nxt_;
-  p.tcp.window = stack_->config().receive_window;
+  p.tcp.window = kReceiveWindow;
   bytes_sent_ += payload.size();
   p.payload = std::move(payload);
   host()->SendFromTransport(std::move(p));
@@ -550,7 +559,6 @@ void TcpSocket::TrySendData() {
       state_ != TcpState::kClosing) {
     return;
   }
-  const TcpConfig& config = stack_->config();
   for (;;) {
     const uint32_t in_flight = snd_nxt_ - snd_una_;
     const uint32_t buffered = static_cast<uint32_t>(send_buffer_.size());
@@ -561,7 +569,7 @@ void TcpSocket::TrySendData() {
     if (unsent == 0) {
       break;
     }
-    uint32_t can_send = std::min(unsent, config.mss);
+    uint32_t can_send = std::min(unsent, kMss);
     const uint32_t window_room = snd_wnd_ > in_flight ? snd_wnd_ - in_flight : 0;
     can_send = std::min(can_send, window_room);
     if (can_send == 0) {
@@ -602,16 +610,15 @@ void TcpSocket::OnRetransmitTimeout() {
   retransmit_event_ = EventLoop::kInvalidEventId;
   ++retransmit_count_;
   obs::Inc(stack_->metric_retransmits_);
-  const TcpConfig& config = stack_->config();
 
   if (state_ == TcpState::kSynSent) {
-    if (retransmit_count_ > config.syn_max_retries) {
+    if (retransmit_count_ > kSynMaxRetries) {
       FailConnect(Status(ErrorCode::kTimedOut, "SYN retries exhausted"));
       return;
     }
     SendControl(true, false, false, false, iss_, 0);
   } else if (state_ == TcpState::kSynReceived) {
-    if (retransmit_count_ > config.syn_max_retries) {
+    if (retransmit_count_ > kSynMaxRetries) {
       if (parent_listener_ == nullptr) {
         FailConnect(Status(ErrorCode::kTimedOut, "SYN-ACK retries exhausted"));
       } else {
@@ -621,7 +628,7 @@ void TcpSocket::OnRetransmitTimeout() {
     }
     SendControl(true, true, false, false, iss_, rcv_nxt_);
   } else {
-    if (retransmit_count_ > config.data_max_retries) {
+    if (retransmit_count_ > kDataMaxRetries) {
       SendControl(false, true, false, /*rst=*/true, snd_nxt_, rcv_nxt_);
       const bool notify = closed_cb_ != nullptr;
       auto cb = std::move(closed_cb_);
@@ -636,7 +643,7 @@ void TcpSocket::OnRetransmitTimeout() {
     const uint32_t data_end = buffer_base_ + buffered;
     if (SeqLt(snd_una_, data_end)) {
       const uint32_t offset = snd_una_ - buffer_base_;
-      const uint32_t len = std::min(config.mss, data_end - snd_una_);
+      const uint32_t len = std::min(kMss, data_end - snd_una_);
       Bytes payload(send_buffer_.begin() + offset, send_buffer_.begin() + offset + len);
       const bool with_fin = fin_sent_ && (snd_una_ + len == fin_seq_);
       bytes_sent_ -= payload.size();  // don't double-count retransmissions
@@ -648,7 +655,7 @@ void TcpSocket::OnRetransmitTimeout() {
     }
   }
 
-  current_rto_ = std::min(current_rto_ * 2, config.max_rto);
+  current_rto_ = std::min(current_rto_ * 2, kMaxRto);
   ArmRetransmit();
 }
 

@@ -48,12 +48,7 @@ enum class TcpAcceptPolicy {
 struct TcpConfig {
   TcpAcceptPolicy accept_policy = TcpAcceptPolicy::kBsd;
   SimDuration initial_rto = Seconds(1);   // RFC 6298 initial retransmission timeout
-  SimDuration max_rto = Seconds(16);      // backoff cap
-  int syn_max_retries = 5;                // SYN retransmissions before ETIMEDOUT
-  int data_max_retries = 8;               // data retransmissions before reset
   SimDuration time_wait = Seconds(10);    // 2*MSL, shortened for simulation
-  uint32_t mss = 1400;                    // max payload bytes per segment
-  uint32_t receive_window = 65535;
   // Whether this host answers segments for closed ports with RST (real hosts
   // do; disabling models a host-firewall DROP policy).
   bool rst_on_closed_port = true;

@@ -62,7 +62,6 @@ ChaosOutcome RunChaosSoak(uint64_t seed) {
   UdpHolePuncher pa(&ca, punch);
   UdpHolePuncher pb(&cb, punch);
   ResilientSessionConfig resilient;
-  resilient.backoff_initial = Millis(500);
   resilient.max_repunch_attempts = 4;
   ResilientSessionManager ma(&pa, resilient);
   ResilientSessionManager mb(&pb, resilient);
@@ -165,7 +164,6 @@ class ChaosRecoveryTest : public ::testing::Test {
     pa_ = std::make_unique<UdpHolePuncher>(ca_.get(), punch);
     pb_ = std::make_unique<UdpHolePuncher>(cb_.get(), punch);
     ResilientSessionConfig resilient;
-    resilient.backoff_initial = Millis(500);
     resilient.max_repunch_attempts = max_repunch;
     resilient.turn_server = turn_server;
     ma_ = std::make_unique<ResilientSessionManager>(pa_.get(), resilient);
@@ -226,6 +224,35 @@ TEST_F(ChaosRecoveryTest, NatRebootRecoversViaRepunchWithBoundedDowntime) {
   // The passive side rebound the fresh punch into its existing session
   // rather than surfacing a duplicate.
   EXPECT_EQ(mb_->session_count(), 1u);
+}
+
+TEST_F(ChaosRecoveryTest, SendBufferHoldsBetweenPathsAndRefusesOverflow) {
+  // Datagrams sent before the first punch locks in wait in a bounded
+  // buffer and flush in order once the direct path is up; past the cap of
+  // 128 a send is refused and counted, never buffered.
+  Build(NatConfig{}, NatConfig{}, Endpoint{}, Seconds(10), 4);
+  Bytes received;
+  mb_->SetIncomingSessionCallback([&received](ResilientSession* s) {
+    s->SetReceiveCallback([&received](const Bytes& payload) {
+      received.insert(received.end(), payload.begin(), payload.end());
+    });
+  });
+  ma_->ConnectToPeer(2, [](Result<ResilientSession*>) {});
+  ResilientSession* session = ma_->FindSession(2);
+  ASSERT_NE(session, nullptr);
+  ASSERT_EQ(session->path(), ResilientSession::Path::kConnecting);
+
+  Bytes expected;
+  for (int i = 0; i < 128; ++i) {
+    expected.push_back(static_cast<uint8_t>(i));
+    ASSERT_TRUE(session->Send(Bytes{expected.back()}).ok()) << "datagram " << i;
+  }
+  EXPECT_EQ(session->Send(Bytes{128}).code(), ErrorCode::kWouldBlock);
+  EXPECT_EQ(session->sends_dropped(), 1u);
+
+  topo_.scenario->net().RunFor(Seconds(12));
+  EXPECT_EQ(session->path(), ResilientSession::Path::kDirect);
+  EXPECT_EQ(received, expected);
 }
 
 TEST_F(ChaosRecoveryTest, SymmetricBothSidesFallsBackToRelayAndDataFlows) {
@@ -534,7 +561,6 @@ StormOutcome RunHostileStorm(uint64_t seed) {
   UdpHolePuncher pa(&ca, punch);
   UdpHolePuncher pb(&cb, punch);
   ResilientSessionConfig resilient;
-  resilient.backoff_initial = Millis(500);
   resilient.max_repunch_attempts = 4;
   ResilientSessionManager ma(&pa, resilient);
   ResilientSessionManager mb(&pb, resilient);

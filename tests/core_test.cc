@@ -124,7 +124,7 @@ TEST_F(UdpPunchTest, Fig5SymmetricNatDefeatsBasicPunching) {
 }
 
 TEST_F(UdpPunchTest, Fig5SurvivesFirstPacketLoss) {
-  // Probes retransmit every probe_interval, so moderate loss only delays
+  // Probes retransmit every kProbeInterval, so moderate loss only delays
   // the punch.
   Scenario::Options options;
   options.internet_loss = 0.3;
@@ -563,25 +563,6 @@ TEST(PredictionTest, PunchesThroughSequentialSymmetricNats) {
   EXPECT_EQ(got, (Bytes{'s', 'y', 'm'}));
 }
 
-TEST(ConnectorTest, PunchesWhenPossible) {
-  auto topo = MakeFig5(NatConfig{}, NatConfig{});
-  RendezvousServer server(topo.server, kServerPort);
-  ASSERT_TRUE(server.Start().ok());
-  UdpRendezvousClient ca(topo.a, server.endpoint(), 1);
-  UdpRendezvousClient cb(topo.b, server.endpoint(), 2);
-  ca.Register(4321, [](Result<Endpoint>) {});
-  cb.Register(4321, [](Result<Endpoint>) {});
-  UdpConnector conn_a(&ca);
-  UdpConnector conn_b(&cb);
-  topo.scenario->net().RunFor(Seconds(2));
-
-  Result<P2pChannel*> result = Status(ErrorCode::kInProgress);
-  conn_a.Connect(2, [&](Result<P2pChannel*> r) { result = std::move(r); });
-  topo.scenario->net().RunFor(Seconds(15));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*result)->kind(), P2pChannel::Kind::kPunched);
-}
-
 TEST(ConnectorTest, TcpPunchesWhenPossible) {
   auto topo = MakeFig5(NatConfig{}, NatConfig{});
   RendezvousServer server(topo.server, kServerPort);
@@ -617,10 +598,10 @@ TEST(ConnectorTest, TcpFallsBackToRelayOnSymmetricNats) {
   TcpRendezvousClient cb(topo.b, server.endpoint(), 2);
   ca.Connect(4321, [](Result<Endpoint>) {});
   cb.Connect(4321, [](Result<Endpoint>) {});
-  TcpConnector::Options options;
-  options.punch.punch_timeout = Seconds(8);
-  TcpConnector conn_a(&ca, options);
-  TcpConnector conn_b(&cb, options);
+  TcpPunchConfig punch;
+  punch.punch_timeout = Seconds(8);
+  TcpConnector conn_a(&ca, punch);
+  TcpConnector conn_b(&cb, punch);
   TcpChannel* incoming = nullptr;
   conn_b.SetIncomingChannelCallback([&](TcpChannel* c) { incoming = c; });
   topo.scenario->net().RunFor(Seconds(3));
@@ -638,37 +619,6 @@ TEST(ConnectorTest, TcpFallsBackToRelayOnSymmetricNats) {
   (*result)->Send(Bytes{'i', 'a', 'S'});
   topo.scenario->net().RunFor(Seconds(2));
   EXPECT_EQ(got, (Bytes{'i', 'a', 'S'}));
-}
-
-TEST(ConnectorTest, FallsBackToRelayOnSymmetricNats) {
-  auto topo = MakeFig5(Symmetric(), Symmetric());
-  RendezvousServer server(topo.server, kServerPort);
-  ASSERT_TRUE(server.Start().ok());
-  UdpRendezvousClient ca(topo.a, server.endpoint(), 1);
-  UdpRendezvousClient cb(topo.b, server.endpoint(), 2);
-  ca.Register(4321, [](Result<Endpoint>) {});
-  cb.Register(4321, [](Result<Endpoint>) {});
-  UdpConnector conn_a(&ca);
-  UdpConnector conn_b(&cb);
-  P2pChannel* incoming = nullptr;
-  conn_b.SetIncomingChannelCallback([&](P2pChannel* c) { incoming = c; });
-  topo.scenario->net().RunFor(Seconds(2));
-
-  Result<P2pChannel*> result = Status(ErrorCode::kInProgress);
-  conn_a.Connect(2, [&](Result<P2pChannel*> r) { result = std::move(r); });
-  topo.scenario->net().RunFor(Seconds(20));
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ((*result)->kind(), P2pChannel::Kind::kRelayed);
-
-  Bytes got;
-  (*result)->Send(Bytes{'r', 'l', 'y'});
-  topo.scenario->net().RunFor(Seconds(2));
-  ASSERT_NE(incoming, nullptr);
-  incoming->SetReceiveCallback([&](const Bytes& p) { got = p; });
-  (*result)->Send(Bytes{'o', 'k'});
-  topo.scenario->net().RunFor(Seconds(2));
-  EXPECT_EQ(got, (Bytes{'o', 'k'}));
-  EXPECT_GE(server.stats().relayed_messages, 2u);
 }
 
 }  // namespace

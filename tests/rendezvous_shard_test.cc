@@ -3,7 +3,7 @@
 //
 // The chaos-facing tests state the downtime bound explicitly: a client that
 // loses its home shard must be re-registered on the ring successor within
-// (failover_missed_keepalives + 1) keepalive intervals plus one
+// (kFailoverMissedKeepalives + 1) keepalive intervals plus one
 // registration round-trip, and every such failover must be visible in the
 // replica shard's replica_promotions counter.
 
@@ -399,12 +399,11 @@ TEST_F(ShardedTierTest, ShardKillFailsOverToReplicaWithinBound) {
   servers_[dead]->Stop();
   const SimTime killed_at = net().event_loop().now();
 
-  // Stated bound: (failover_missed_keepalives + 1) keepalive intervals to
+  // Stated bound: (kFailoverMissedKeepalives + 1) keepalive intervals to
   // declare the shard dead, plus one registration round-trip (well under one
   // extra interval here). Run to the bound and demand full recovery.
-  const RendezvousClientOptions defaults;
   const SimDuration bound =
-      kKeepAlive * (defaults.failover_missed_keepalives + 1) + Seconds(1);
+      kKeepAlive * (UdpRendezvousClient::kFailoverMissedKeepalives + 1) + Seconds(1);
   net().RunFor(bound);
 
   for (const size_t i : affected) {
@@ -439,8 +438,7 @@ TEST_F(ShardedTierTest, FailedOverClientIsStillReachableCrossShard) {
   net().RunFor(Seconds(3));
 
   servers_[0]->Stop();
-  const RendezvousClientOptions defaults;
-  net().RunFor(kKeepAlive * (defaults.failover_missed_keepalives + 1) + Seconds(1));
+  net().RunFor(kKeepAlive * (UdpRendezvousClient::kFailoverMissedKeepalives + 1) + Seconds(1));
   ASSERT_EQ(target.client->failovers(), 1u);
   ASSERT_TRUE(target.client->registered());
 
@@ -465,8 +463,7 @@ TEST_F(ShardedTierTest, RequestsDuringRehomingFailFastAsNotConnected) {
   EXPECT_FALSE(c.client->rehoming());
 
   servers_[0]->Stop();
-  const RendezvousClientOptions defaults;
-  net().RunFor(kKeepAlive * (defaults.failover_missed_keepalives + 1));
+  net().RunFor(kKeepAlive * (UdpRendezvousClient::kFailoverMissedKeepalives + 1));
   // Somewhere in that window the client declared the shard dead; while the
   // re-registration is in flight, connect requests fail fast with
   // kNotConnected — the signal ResilientSessionManager treats as
