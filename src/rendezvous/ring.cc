@@ -14,51 +14,63 @@ constexpr uint64_t kVnodeSalt = 0x53484152445250ULL;  // "SHARDRP"
 
 }  // namespace
 
-ShardRing::ShardRing(std::vector<Endpoint> shards, uint32_t vnodes)
-    : shards_(std::move(shards)) {
-  points_.reserve(shards_.size() * vnodes);
-  for (uint32_t shard = 0; shard < shards_.size(); ++shard) {
+ShardRing::ShardRing(std::vector<Endpoint> shards, uint32_t vnodes) {
+  struct Point {
+    uint64_t hash;
+    uint32_t shard;
+  };
+  const size_t n = shards.size();
+  std::vector<Point> points;
+  points.reserve(n * vnodes);
+  for (uint32_t shard = 0; shard < n; ++shard) {
     for (uint32_t vnode = 0; vnode < vnodes; ++vnode) {
       const uint64_t hash =
           HashMix64(kVnodeSalt ^ (static_cast<uint64_t>(shard) << 32) ^ vnode);
-      points_.push_back({hash, shard});
+      points.push_back({hash, shard});
     }
   }
-  std::sort(points_.begin(), points_.end(), [](const Point& a, const Point& b) {
+  std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
     return a.hash != b.hash ? a.hash < b.hash : a.shard < b.shard;
   });
+
+  auto state = std::make_shared<State>();
+  state->shards = std::move(shards);
+  state->points.reserve(points.size());
+  state->ladders.reserve(points.size() * n);
+  std::vector<char> seen(n);
+  for (size_t start = 0; start < points.size(); ++start) {
+    state->points.push_back(points[start].hash);
+    std::fill(seen.begin(), seen.end(), 0);
+    // Every shard has points, so the walk meets all n shards within one lap.
+    for (size_t step = 0, distinct = 0; distinct < n; ++step) {
+      const uint32_t shard = points[(start + step) % points.size()].shard;
+      if (seen[shard] == 0) {
+        seen[shard] = 1;
+        state->ladders.push_back(shard);
+        ++distinct;
+      }
+    }
+  }
+  state_ = std::move(state);
 }
 
 uint32_t ShardRing::NthOwner(uint64_t client_id, uint32_t n) const {
-  if (points_.empty()) {
+  if (state_ == nullptr || state_->points.empty()) {
     return 0;
   }
-  const uint64_t hash = HashMix64(client_id);
-  size_t start = std::lower_bound(points_.begin(), points_.end(), hash,
-                                  [](const Point& p, uint64_t h) { return p.hash < h; }) -
-                 points_.begin();
-  if (start == points_.size()) {
+  const std::vector<uint64_t>& points = state_->points;
+  size_t start = std::lower_bound(points.begin(), points.end(), HashMix64(client_id)) -
+                 points.begin();
+  if (start == points.size()) {
     start = 0;  // wrap past the top of the hash space
   }
-  n %= static_cast<uint32_t>(shards_.size());
-  std::vector<char> seen(shards_.size(), 0);
-  uint32_t distinct = 0;
-  for (size_t step = 0; step < points_.size(); ++step) {
-    const uint32_t shard = points_[(start + step) % points_.size()].shard;
-    if (seen[shard] == 0) {
-      if (distinct == n) {
-        return shard;
-      }
-      seen[shard] = 1;
-      ++distinct;
-    }
-  }
-  return points_[start].shard;  // unreachable: every shard has points
+  const size_t shards = state_->shards.size();
+  return state_->ladders[start * shards + n % shards];
 }
 
 int ShardRing::IndexOf(const Endpoint& ep) const {
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i] == ep) {
+  for (size_t i = 0; i < size(); ++i) {
+    if (state_->shards[i] == ep) {
       return static_cast<int>(i);
     }
   }

@@ -16,11 +16,19 @@
 // the new shard's points move, unlike modulo placement which reshuffles
 // nearly everything (asserted by the differential test against a naive
 // modulo oracle).
+//
+// A ShardRing is a handle to one immutable state: the shard endpoints, the
+// sorted vnode points and each point's ladder of distinct owners. Copies
+// share that state by reference count, so a population of clients that
+// each hold the ring (as the paper's clients each know S by one endpoint)
+// pays for one ring, and a copy stays valid after the ring it came from is
+// gone.
 
 #ifndef SRC_RENDEZVOUS_RING_H_
 #define SRC_RENDEZVOUS_RING_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/netsim/address.h"
@@ -34,10 +42,9 @@ class ShardRing {
   ShardRing() = default;
   explicit ShardRing(std::vector<Endpoint> shards, uint32_t vnodes = kDefaultVnodes);
 
-  size_t size() const { return shards_.size(); }
-  bool empty() const { return shards_.empty(); }
-  const Endpoint& endpoint(uint32_t shard) const { return shards_[shard]; }
-  const std::vector<Endpoint>& shards() const { return shards_; }
+  size_t size() const { return state_ == nullptr ? 0 : state_->shards.size(); }
+  bool empty() const { return size() == 0; }
+  const Endpoint& endpoint(uint32_t shard) const { return state_->shards[shard]; }
 
   // Shard owning `client_id`'s hash point: where the client registers.
   uint32_t HomeShard(uint64_t client_id) const { return NthOwner(client_id, 0); }
@@ -59,13 +66,15 @@ class ShardRing {
   int IndexOf(const Endpoint& ep) const;
 
  private:
-  struct Point {
-    uint64_t hash;
-    uint32_t shard;
+  struct State {
+    std::vector<Endpoint> shards;
+    std::vector<uint64_t> points;  // vnode hashes, sorted; ties broken by shard index
+    // ladders[p * shards.size() + k]: the k-th distinct shard met walking
+    // clockwise from point p, so NthOwner is a binary search and one index.
+    std::vector<uint32_t> ladders;
   };
 
-  std::vector<Endpoint> shards_;
-  std::vector<Point> points_;  // sorted by hash; ties broken by shard index
+  std::shared_ptr<const State> state_;  // null for a default-constructed ring
 };
 
 }  // namespace natpunch

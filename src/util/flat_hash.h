@@ -153,16 +153,6 @@ class FlatHashMap {
     size_ = 0;
   }
 
-  void Reserve(size_t n) {
-    size_t cap = kMinCapacity;
-    while (cap * 3 < n * 4) {  // target load factor <= 3/4
-      cap *= 2;
-    }
-    if (cap > slots_.size()) {
-      Rehash(cap);
-    }
-  }
-
  private:
   struct Slot {
     Key key{};
@@ -171,7 +161,11 @@ class FlatHashMap {
   };
 
   static constexpr size_t kNpos = static_cast<size_t>(-1);
-  static constexpr size_t kMinCapacity = 16;
+  // 4 slots hold 3 entries under the 3/4 load cap. Most tables are per peer
+  // (a host's sockets, a puncher's sessions and callbacks, a manager's
+  // sessions), hold 1-3 entries, and exist thousands of times over; a table
+  // that outgrows 4 slots doubles through 8, 16 and on.
+  static constexpr size_t kMinCapacity = 4;
 
   size_t HomeOf(const Key& key) const {
     return static_cast<size_t>(HashMix64(static_cast<uint64_t>(Hash{}(key)))) & mask_;

@@ -3,22 +3,29 @@
 // -> NAT -> host -> socket) performs ZERO heap allocations, even with
 // packet tracing enabled. This binary replaces global operator new/delete
 // with counting hooks; it must stay its own test target so the hooks never
-// interfere with the other suites.
+// interfere with the other suites. It also holds the per-peer heap budget
+// (FootprintTest), read from glibc's heap statistics.
 
 #include <gtest/gtest.h>
 
 #include <execinfo.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
+#include "src/core/resilient_session.h"
+#include "src/core/turn.h"
 #include "src/core/udp_puncher.h"
 #include "src/nat/nat_table.h"
 #include "src/obs/metrics.h"
 #include "src/rendezvous/client.h"
+#include "src/rendezvous/ring.h"
 #include "src/rendezvous/server.h"
 #include "src/scenario/scenario.h"
 #include "src/transport/host.h"
@@ -413,6 +420,39 @@ TEST(ZeroAllocTest, LongPendingClosureKeepsTimerTrafficAllocationFree) {
   EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
 }
 
+std::vector<Endpoint> ShardEndpoints(uint32_t n) {
+  std::vector<Endpoint> eps;
+  for (uint32_t i = 0; i < n; ++i) {
+    eps.emplace_back(Ipv4Address::FromOctets(18, 181, 0, static_cast<uint8_t>(50 + i)),
+                     kServerPort);
+  }
+  return eps;
+}
+
+TEST(ZeroAllocTest, ShardRingCopiesAndLookupsAllocateNothing) {
+  // Every sharded client holds a copy of the ring, and every forward and
+  // replication asks it for an owner: a copy shares the ring's state, and
+  // a lookup is a binary search over it.
+  const ShardRing ring(ShardEndpoints(4));
+  uint32_t owners = 0;
+  g_allocs.store(0);
+  g_samples.store(0);
+  g_counting.store(true);
+  {
+    const ShardRing copy = ring;
+    ShardRing assigned;
+    assigned = copy;
+    for (uint64_t id = 1; id <= 1000; ++id) {
+      for (uint32_t n = 0; n < 4; ++n) {
+        owners += assigned.NthOwner(id, n);
+      }
+    }
+  }
+  g_counting.store(false);
+  EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
+  EXPECT_EQ(owners, 1000u * (0 + 1 + 2 + 3));  // each ladder is a permutation
+}
+
 TEST(ZeroAllocTest, JumboPayloadsAllocateButStillFlow) {
   // Control: payloads beyond Payload::kInlineCapacity must spill to the
   // heap (the counting hook sees them), proving the zero above is a
@@ -442,6 +482,77 @@ TEST(ZeroAllocTest, JumboPayloadsAllocateButStillFlow) {
   net.RunFor(Millis(100));
   g_counting.store(false);
   EXPECT_GT(g_allocs.load(), 0u);
+}
+
+// Heap bytes in use: chunks from the main arena plus mmapped ones. glibc
+// raises its mmap threshold when a large chunk is freed, so whether a large
+// vector is mmapped depends on what the process freed before; counting both
+// makes the figure independent of the tests that ran earlier.
+size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+TEST(FootprintTest, IdleShardedPeerStaysUnder4KiB) {
+  // The per-peer heap budget, for one host per peer. 1,024 peers, 16 behind
+  // each of 64 default NATs, each registered with a 4-shard rendezvous tier
+  // with keepalives on, and holding a puncher and a session manager with a
+  // TURN server to fall back on: churn's stack before its first
+  // introduction. The figure is all the heap the run holds after 3
+  // simulated seconds (world, shards, TURN server and peers) over the peer
+  // count.
+  constexpr int kNats = 64;
+  constexpr int kHostsPerNat = 16;
+  constexpr size_t kPeers = kNats * kHostsPerNat;
+  constexpr size_t kBudgetBytes = 4096;
+
+  const size_t heap_before = HeapInUse();
+  Scenario scenario;
+  const std::vector<Endpoint> shard_eps = ShardEndpoints(4);
+  std::vector<std::unique_ptr<RendezvousServer>> shards;
+  for (uint32_t i = 0; i < shard_eps.size(); ++i) {
+    Host* host = scenario.AddPublicHost("S" + std::to_string(i), shard_eps[i].ip);
+    RendezvousServer::Options options;
+    options.shard.shards = shard_eps;
+    options.shard.index = i;
+    shards.push_back(std::make_unique<RendezvousServer>(host, kServerPort, options));
+    ASSERT_TRUE(shards.back()->Start().ok());
+  }
+  TurnServer turn(scenario.AddPublicHost("T", Ipv4Address::FromOctets(18, 181, 0, 40)));
+  ASSERT_TRUE(turn.Start().ok());
+  std::vector<Host*> hosts;
+  for (int i = 0; i < kNats; ++i) {
+    const NattedSite site = scenario.AddNattedSite(
+        "n" + std::to_string(i), NatConfig{},
+        Ipv4Address::FromOctets(20, 0, static_cast<uint8_t>(i), 1),
+        Ipv4Prefix(Ipv4Address::FromOctets(10, 0, 0, 0), 24), kHostsPerNat);
+    hosts.insert(hosts.end(), site.hosts.begin(), site.hosts.end());
+  }
+
+  struct Peer {
+    std::unique_ptr<UdpRendezvousClient> client;
+    std::unique_ptr<UdpHolePuncher> puncher;
+    std::unique_ptr<ResilientSessionManager> manager;
+  };
+  ResilientSessionConfig resilient;
+  resilient.turn_server = turn.endpoint();
+  const ShardRing ring(shard_eps);
+  std::vector<Peer> peers(kPeers);
+  for (size_t i = 0; i < kPeers; ++i) {
+    Peer& peer = peers[i];
+    peer.client = std::make_unique<UdpRendezvousClient>(hosts[i], ring, i + 1);
+    peer.client->Register(4321, [](Result<Endpoint>) {});
+    peer.client->StartKeepAlive(Seconds(15));
+    peer.puncher = std::make_unique<UdpHolePuncher>(peer.client.get(), UdpPunchConfig{});
+    peer.manager = std::make_unique<ResilientSessionManager>(peer.puncher.get(), resilient);
+  }
+  scenario.net().RunFor(Seconds(3));
+  for (const Peer& peer : peers) {
+    ASSERT_TRUE(peer.client->registered()) << "peer " << peer.client->client_id();
+  }
+
+  const size_t per_peer = (HeapInUse() - heap_before) / kPeers;
+  EXPECT_LE(per_peer, kBudgetBytes) << "an idle sharded peer costs " << per_peer << " B";
 }
 
 }  // namespace

@@ -119,6 +119,68 @@ TEST(ShardRingTest, RemapDifferentialAgainstNaiveModuloOracle) {
       << "consistent hashing lost its remap advantage over modulo";
 }
 
+// FNV-1a over NthOwner(id, n) for ids 1..10,000 and n 0..7 (n wraps modulo
+// the shard count) on a ring of `shards` shards with default vnodes.
+uint64_t OwnerLadderDigest(int shards) {
+  const ShardRing ring(MakeShardEndpoints(shards));
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (uint64_t id = 1; id <= 10000; ++id) {
+    for (uint32_t n = 0; n < 8; ++n) {
+      digest = (digest ^ ring.NthOwner(id, n)) * 0x100000001b3ULL;
+    }
+  }
+  return digest;
+}
+
+TEST(ShardRingTest, NthOwnerMatchesGoldenDigest) {
+  // Pins every answer of the owner ladder. The digests are those of a
+  // clockwise walk over the points from each id's hash, which is what the
+  // ladder table precomputes; a change to the hash, the salt, the tie
+  // break or the ladder order moves them, and so moves clients' homes.
+  EXPECT_EQ(OwnerLadderDigest(1), 0x9b85a68c78294d25ULL);
+  EXPECT_EQ(OwnerLadderDigest(2), 0x86ed57efaf72a925ULL);
+  EXPECT_EQ(OwnerLadderDigest(4), 0x5a3fdcf3a2a4d561ULL);
+  EXPECT_EQ(OwnerLadderDigest(8), 0x842f3fd3c377e791ULL);
+}
+
+TEST(ShardRingTest, CopiesOutliveTheirSourceAndAnswerAlike) {
+  // Clients hold copies of the ring they were built with, and the ring a
+  // caller built may die first (churn's local ring does). Copies share one
+  // state, so they must keep answering exactly as a ring built afresh.
+  const auto eps = MakeShardEndpoints(4);
+  std::vector<ShardRing> copies;
+  {
+    const ShardRing source(eps);
+    copies.assign(2, source);
+    ShardRing assigned;
+    assigned = source;
+    copies.push_back(assigned);
+    copies.push_back(std::move(assigned));
+  }
+  const ShardRing fresh(eps);
+  const Endpoint stranger(Ipv4Address::FromOctets(18, 181, 0, 99), kServerPort);
+  std::mt19937_64 rng(19);
+  for (const ShardRing& copy : copies) {
+    ASSERT_EQ(copy.size(), fresh.size());
+    for (uint32_t s = 0; s < fresh.size(); ++s) {
+      EXPECT_EQ(copy.endpoint(s), fresh.endpoint(s));
+      EXPECT_EQ(copy.IndexOf(fresh.endpoint(s)), static_cast<int>(s));
+    }
+    EXPECT_EQ(copy.IndexOf(stranger), -1);
+    for (int i = 0; i < 2000; ++i) {
+      const uint64_t id = rng();
+      ASSERT_EQ(copy.HomeShard(id), fresh.HomeShard(id));
+      for (uint32_t n = 1; n < 6; ++n) {
+        ASSERT_EQ(copy.NthOwner(id, n), fresh.NthOwner(id, n)) << "id " << id << " n " << n;
+      }
+    }
+  }
+  const ShardRing none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.IndexOf(stranger), -1);
+  EXPECT_EQ(none.HomeShard(42), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // v3 inter-shard codec: round trip + wire armor
 // ---------------------------------------------------------------------------

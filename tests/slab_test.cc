@@ -18,6 +18,8 @@
 #include "src/netsim/packet.h"
 #include "src/netsim/payload.h"
 #include "src/obs/metrics.h"
+#include "src/rendezvous/client.h"
+#include "src/rendezvous/ring.h"
 #include "src/util/slab.h"
 
 namespace natpunch {
@@ -33,6 +35,8 @@ static_assert(sizeof(Packet) <= 136, "Packet footprint budget");
 static_assert(sizeof(UdpP2pSession) <= 184, "UdpP2pSession footprint budget");
 static_assert(sizeof(ResilientSession) <= 504, "ResilientSession footprint budget");
 static_assert(sizeof(Endpoint) == 8, "Endpoint packs into a single word");
+static_assert(sizeof(ShardRing) == 16, "ShardRing is a handle to one shared state");
+static_assert(sizeof(UdpRendezvousClient) <= 384, "UdpRendezvousClient footprint budget");
 
 struct Tracked {
   explicit Tracked(int v) : value(v) { ++constructed; }

@@ -1,11 +1,15 @@
-// Unit tests for src/util: Result/Status, Rng, byte serialization.
+// Unit tests for src/util: Result/Status, Rng, byte serialization, the
+// open-addressing hash map.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 #include "src/util/bytes.h"
+#include "src/util/flat_hash.h"
 #include "src/util/result.h"
 #include "src/util/rng.h"
 
@@ -192,6 +196,81 @@ TEST(BytesTest, EmptyPayloadRoundTrip) {
   EXPECT_TRUE(r.ReadBytes().empty());
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(FlatHashMapTest, RandomizedAgainstUnorderedMap) {
+  // Differential against std::unordered_map. Keys come from small ranges so
+  // tables stay at 4-32 slots, where a cluster often wraps past the last
+  // slot and backward-shift deletion must carry entries across the wrap.
+  // After every operation each key in range is looked up, present or not.
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    const uint32_t key_range = 3 + static_cast<uint32_t>(rng.NextBelow(30));
+    FlatHashMap<uint32_t, uint64_t> map;
+    std::unordered_map<uint32_t, uint64_t> model;
+    for (int step = 0; step < 2000; ++step) {
+      const uint32_t key = static_cast<uint32_t>(rng.NextBelow(key_range));
+      const uint64_t value = rng.NextU64();
+      const uint64_t op = rng.NextBelow(100);
+      if (op < 40) {
+        bool inserted = false;
+        uint64_t* slot = map.FindOrInsert(key, &inserted);
+        ASSERT_EQ(inserted, model.count(key) == 0) << "seed " << seed << " step " << step;
+        if (inserted) {
+          ASSERT_EQ(*slot, 0u);  // a new value is default-constructed
+        }
+        *slot = value;
+        model[key] = value;
+      } else if (op < 55) {
+        map.InsertOrAssign(key, value);
+        model[key] = value;
+      } else if (op < 99) {
+        ASSERT_EQ(map.Erase(key), model.erase(key) == 1) << "seed " << seed << " step " << step;
+      } else {
+        map.Clear();
+        model.clear();
+      }
+      ASSERT_EQ(map.size(), model.size()) << "seed " << seed << " step " << step;
+      for (uint32_t k = 0; k < key_range; ++k) {
+        const uint64_t* found = map.Find(k);
+        const auto it = model.find(k);
+        ASSERT_EQ(found != nullptr, it != model.end())
+            << "seed " << seed << " step " << step << " key " << k;
+        ASSERT_EQ(map.Contains(k), found != nullptr);
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second) << "seed " << seed << " step " << step << " key " << k;
+        }
+      }
+      std::map<uint32_t, uint64_t> visited;
+      map.ForEach([&](uint32_t k, uint64_t v) { ASSERT_TRUE(visited.emplace(k, v).second); });
+      const std::map<uint32_t, uint64_t> expected(model.begin(), model.end());
+      ASSERT_EQ(visited, expected) << "seed " << seed << " step " << step;
+    }
+  }
+}
+
+TEST(FlatHashMapTest, FirstAllocationHasFourSlotsAndDoubles) {
+  // Per-peer tables hold 1-3 entries, which fit the first allocation under
+  // the 3/4 load cap; the 4th insert doubles it, and so on.
+  FlatHashMap<uint64_t, int> map;
+  EXPECT_EQ(map.capacity(), 0u);  // nothing is allocated before the first insert
+  const size_t expected_capacity[] = {4, 4, 4, 8, 8, 8, 16, 16, 16, 16, 16, 16, 32};
+  for (size_t i = 0; i < std::size(expected_capacity); ++i) {
+    map.InsertOrAssign(100 + i, static_cast<int>(i));
+    EXPECT_EQ(map.capacity(), expected_capacity[i]) << "after insert " << i + 1;
+  }
+  EXPECT_EQ(map.size(), std::size(expected_capacity));
+
+  // Clear keeps the slot array, so refilling to the same size never grows.
+  map.Clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.capacity(), 32u);
+  EXPECT_EQ(map.Find(100), nullptr);
+  for (size_t i = 0; i < std::size(expected_capacity); ++i) {
+    map.InsertOrAssign(200 + i, static_cast<int>(i));
+  }
+  EXPECT_EQ(map.capacity(), 32u);
+  EXPECT_EQ(*map.Find(212), 12);
 }
 
 }  // namespace
