@@ -45,8 +45,9 @@
 // but machine-stable memory-per-session figure that bench_compare gates).
 // With NATPUNCH_SWARM_METRICS set the scenario's metrics registry is
 // enabled and — combined with NATPUNCH_OBS_DIR — each leg writes a full
-// metrics snapshot artifact, including the mem.<pool>.* slab gauges that
-// scripts/memprof.sh turns into a per-pool bytes breakdown.
+// metrics snapshot artifact, including the mem.<pool>.* gauges (slabs and
+// the delivery pool) that scripts/memprof.sh turns into a per-pool bytes
+// breakdown.
 
 #include <sys/wait.h>
 #include <unistd.h>

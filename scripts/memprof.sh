@@ -3,8 +3,9 @@
 #
 # Builds the Release bench targets, runs bench_swarm's unsharded leg with
 # the metrics registry enabled (NATPUNCH_SWARM_METRICS) and the obs artifact
-# hook pointed at an output directory, then folds the mem.<pool>.* slab
-# gauges from the metrics snapshot into a per-pool bytes breakdown JSON —
+# hook pointed at an output directory, then folds the mem.<pool>.* gauges
+# (the slabs' and the Network's delivery pool) from the metrics snapshot
+# into a per-pool bytes breakdown JSON —
 # the artifact CI uploads so a bytes/session regression can be attributed
 # to a specific pool (sessions? registration records? TCP sockets?) instead
 # of re-running locally with a profiler.
@@ -58,14 +59,16 @@ for leg, entry in legs.items():
     if not snap_path.exists():
         continue
     gauges = json.loads(snap_path.read_text()).get("gauges", {})
-    # Gauge names are mem.<pool>.<host>.{live,peak,slabs}; aggregate by pool
-    # across hosts. slab bytes are reported by the .slabs gauge count times
-    # the slot capacity, which the snapshot does not carry — report live and
-    # peak object counts plus slab counts per pool; object sizes are the
-    # compile-time budgets asserted in tests/slab_test.cc.
+    # Gauge names are mem.<pool>.<host>.{live,peak,slabs} for the slabs and
+    # mem.deliveries.{live,peak} for the one host-less delivery pool;
+    # aggregate by pool across hosts. slab bytes are reported by the .slabs
+    # gauge count times the slot capacity, which the snapshot does not
+    # carry — report live and peak object counts plus slab counts per pool;
+    # object sizes are the compile-time budgets asserted in
+    # tests/slab_test.cc.
     pools = {}
     for name, g in gauges.items():
-        m = re.match(r"mem\.([a-z_]+)\.(.+)\.(live|peak|slabs)$", name)
+        m = re.match(r"mem\.([a-z_]+)(?:\.(.+))?\.(live|peak|slabs)$", name)
         if not m:
             continue
         pool, _host, field = m.groups()

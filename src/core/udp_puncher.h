@@ -245,8 +245,9 @@ class UdpHolePuncher {
   // Sessions are the swarm-scale population: slab-backed storage (stable
   // addresses, no per-object malloc header) indexed by an open-addressing
   // map. Lookups are point queries; nothing iterates sessions_ in hash
-  // order except teardown and the alive-count stat.
-  Slab<UdpP2pSession, 512> session_pool_;
+  // order except teardown and the alive-count stat. A pool's idle tail is
+  // under one chunk: a swarm puncher's 1,563 sessions take 1,664 slots.
+  Slab<UdpP2pSession, 128> session_pool_;
   FlatHashMap<uint64_t, UdpP2pSession*> sessions_;  // by nonce
   FlatHashMap<uint64_t, SessionCallbacks> session_callbacks_;
   std::function<void(UdpP2pSession*)> incoming_cb_;

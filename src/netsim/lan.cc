@@ -9,6 +9,45 @@
 
 namespace natpunch {
 
+uint32_t DeliveryPool::Park(Node* node, int iface, Packet&& packet) {
+  uint32_t slot = free_head_;
+  if (slot == kNone) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    free_head_ = slots_[slot].next;
+  }
+  PendingDelivery& d = slots_[slot];
+  d.node = node;
+  d.iface = iface;
+  d.packet = std::move(packet);
+  if (++live_ > peak_) {
+    peak_ = live_;
+    obs::Set(metric_peak_, peak_);
+  }
+  obs::Set(metric_live_, live_);
+  return slot;
+}
+
+void DeliveryPool::Release(uint32_t slot) {
+  slots_[slot].next = free_head_;
+  free_head_ = slot;
+  obs::Set(metric_live_, --live_);
+}
+
+void DeliveryPool::Clear() {
+  slots_.clear();
+  free_head_ = kNone;
+  live_ = peak_ = 0;
+}
+
+void DeliveryPool::AttachMetrics(obs::Gauge* live, obs::Gauge* peak) {
+  metric_live_ = live;
+  metric_peak_ = peak;
+  obs::Set(metric_live_, live_);
+  obs::Set(metric_peak_, peak_);
+}
+
 Lan::Lan(Network* network, std::string name, LanConfig config)
     : network_(network), name_(std::move(name)), config_(config) {
   trace_id_ = network_->trace().Intern(name_);
@@ -120,65 +159,46 @@ void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
     Mangle(packet, extra_hold, duplicate);
   }
 
+  DeliveryPool& pool = network_->deliveries();
   if (duplicate) {
-    const uint32_t dup_slot = AcquireSlot();
-    PendingDelivery& dup = deliveries_[dup_slot];
-    dup.node = target->node;
-    dup.iface = target->iface;
-    dup.packet = packet;  // copy; the original is parked below
-    Schedule(delay, dup_slot);
+    Schedule(delay, pool.Park(target->node, target->iface, Packet(packet)));  // a copy
   }
-
-  const uint32_t slot = AcquireSlot();
-  PendingDelivery& pending = deliveries_[slot];
-  pending.node = target->node;
-  pending.iface = target->iface;
-  pending.packet = std::move(packet);
-  Schedule(delay + extra_hold, slot);
+  Schedule(delay + extra_hold, pool.Park(target->node, target->iface, std::move(packet)));
 }
 
 void Lan::Schedule(SimDuration delay, uint32_t slot) {
   EventLoop& loop = network_->event_loop();
+  DeliveryPool& pool = network_->deliveries();
   const SimTime at = loop.now() + delay;
-  if (queue_size_ != 0 && at.micros() < QueueAt(queue_size_ - 1).time) {
+  if (queue_head_ != DeliveryPool::kNone && at.micros() < pool[queue_tail_].time) {
     // Lands before the tail (jitter, a reorder hold): its own closure.
     loop.ScheduleAt(at, [this, slot] { Deliver(slot); });
     return;
   }
-  if (queue_size_ == queue_.size()) {
-    // Full: unroll the ring so the head sits at index 0, then double it.
-    std::rotate(queue_.begin(), queue_.begin() + static_cast<ptrdiff_t>(queue_head_), queue_.end());
-    queue_.resize(std::max<size_t>(16, queue_.size() * 2));
-    queue_head_ = 0;
+  PendingDelivery& queued = pool[slot];
+  queued.time = at.micros();
+  queued.id = loop.ReserveSequence();
+  queued.next = DeliveryPool::kNone;
+  if (queue_head_ == DeliveryPool::kNone) {
+    queue_head_ = slot;
+    loop.ScheduleReserved(at, queued.id, &queue_timer_);
+  } else {
+    pool[queue_tail_].next = slot;
   }
-  const EventLoop::EventId id = loop.ReserveSequence();
-  QueueAt(queue_size_++) = QueuedDelivery{at.micros(), id, slot};
-  if (queue_size_ == 1) {
-    loop.ScheduleReserved(at, id, &queue_timer_);
-  }
+  queue_tail_ = slot;
 }
 
 void Lan::DeliverQueued() {
   // Re-arm for the next head before delivering: HandlePacket may transmit
   // on this same Lan, appending behind it.
-  const uint32_t slot = QueueAt(0).slot;
-  queue_head_ = (queue_head_ + 1) & (queue_.size() - 1);
-  if (--queue_size_ != 0) {
-    network_->event_loop().ScheduleReserved(SimTime(QueueAt(0).time), QueueAt(0).id,
-                                            &queue_timer_);
+  DeliveryPool& pool = network_->deliveries();
+  const uint32_t slot = queue_head_;
+  queue_head_ = pool[slot].next;
+  if (queue_head_ != DeliveryPool::kNone) {
+    const PendingDelivery& head = pool[queue_head_];
+    network_->event_loop().ScheduleReserved(SimTime(head.time), head.id, &queue_timer_);
   }
   Deliver(slot);
-}
-
-uint32_t Lan::AcquireSlot() {
-  if (!free_slots_.empty()) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    return slot;
-  }
-  const uint32_t slot = static_cast<uint32_t>(deliveries_.size());
-  deliveries_.emplace_back();
-  return slot;
 }
 
 void Lan::Mangle(Packet& packet, SimDuration& extra, bool& duplicate) {
@@ -221,12 +241,12 @@ void Lan::Mangle(Packet& packet, SimDuration& extra, bool& duplicate) {
 
 void Lan::Deliver(uint32_t slot) {
   // Move everything out and release the slot first: HandlePacket may
-  // re-enter Transmit on this same Lan.
-  Node* const node = deliveries_[slot].node;
-  const int iface = deliveries_[slot].iface;
-  Packet packet = std::move(deliveries_[slot].packet);
-  deliveries_[slot].node = nullptr;
-  free_slots_.push_back(slot);
+  // transmit, which can take the slot again or grow the pool under it.
+  DeliveryPool& pool = network_->deliveries();
+  Node* const node = pool[slot].node;
+  const int iface = pool[slot].iface;
+  Packet packet = std::move(pool[slot].packet);
+  pool.Release(slot);
   network_->trace().Record(network_->now(), node->trace_id(), TraceEvent::kDeliver, packet);
   node->HandlePacket(iface, std::move(packet));
 }

@@ -5,6 +5,11 @@
 // drops leaked RFC 1918 destinations, as real inter-domain routing would).
 // Latency, jitter, and loss are per-Lan so experiments can, e.g., make one
 // client's access link slower to control which SYN arrives first.
+//
+// A Lan stores no packets itself: an in-flight packet waits in its
+// Network's DeliveryPool, and the Lan's in-order delivery queue is a list
+// threaded through that pool, so the network holds as many slots as it
+// ever had packets in flight at once, however they were spread over Lans.
 
 #ifndef SRC_NETSIM_LAN_H_
 #define SRC_NETSIM_LAN_H_
@@ -24,6 +29,7 @@ namespace natpunch {
 
 namespace obs {
 class Counter;
+class Gauge;
 }  // namespace obs
 
 class Network;
@@ -72,6 +78,47 @@ struct LanConfig {
   bool is_global = false;  // the public Internet realm
 };
 
+// An in-flight delivery, parked in a DeliveryPool slot from transmit until
+// its Lan hands it to `node`. While the delivery waits in its Lan's queue,
+// `time` and `id` hold its due time and the sequence reserved for it, and
+// `next` links the next queued slot; a free slot's `next` links the free
+// list.
+struct PendingDelivery {
+  Node* node = nullptr;
+  Packet packet;
+  int64_t time = 0;  // micros
+  EventLoop::EventId id = EventLoop::kInvalidEventId;
+  int iface = 0;
+  uint32_t next = 0;
+};
+
+// The in-flight packets of every Lan in one Network: one vector of slots,
+// recycled through a LIFO free list and never shrunk. Park may grow the
+// vector, so no reference into the pool may be held across it, nor across
+// anything that can transmit.
+class DeliveryPool {
+ public:
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  PendingDelivery& operator[](uint32_t slot) { return slots_[slot]; }
+
+  // Park `packet` for `iface` of `node`; returns its slot.
+  uint32_t Park(Node* node, int iface, Packet&& packet);
+  void Release(uint32_t slot);
+  // Drop every slot and the payloads they own, keeping the capacity.
+  void Clear();
+  // Wire the mem.deliveries.live/peak gauges; recording never allocates.
+  void AttachMetrics(obs::Gauge* live, obs::Gauge* peak);
+
+ private:
+  std::vector<PendingDelivery> slots_;
+  uint32_t free_head_ = kNone;
+  int64_t live_ = 0;
+  int64_t peak_ = 0;
+  obs::Gauge* metric_live_ = nullptr;
+  obs::Gauge* metric_peak_ = nullptr;
+};
+
 class Lan {
  public:
   Lan(Network* network, std::string name, LanConfig config);
@@ -98,8 +145,8 @@ class Lan {
 
   // Emit `packet` toward `next_hop` on this segment. Applies loss and delay,
   // then delivers to the attachment owning next_hop, if any. The packet is
-  // consumed (parked in the pooled delivery slot) only when it survives the
-  // loss/link checks.
+  // consumed (parked in the Network's DeliveryPool) only when it survives
+  // the loss/link checks.
   void Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet);
 
   uint64_t packets_transmitted() const { return packets_; }
@@ -115,37 +162,18 @@ class Lan {
     uint32_t next_owner;  // next attachment owning `ip`, in attach order
   };
 
-  // An in-flight delivery parked in a pooled slot; the link queue (or, out
-  // of order, the scheduled closure) refers to it by index.
-  struct PendingDelivery {
-    Node* node = nullptr;
-    int iface = 0;
-    Packet packet;
-  };
-
-  // One entry of the in-order delivery queue: the delivery's time and the
-  // insertion sequence reserved for it at transmit.
-  struct QueuedDelivery {
-    int64_t time;  // micros
-    EventLoop::EventId id;
-    uint32_t slot;
-  };
-
   // Hand the parked delivery in `slot` to the event loop, due `delay` from
   // now: appended to the link queue when not earlier than its tail, else
   // scheduled as its own closure.
   void Schedule(SimDuration delay, uint32_t slot);
   // Queue head's timer: pop the head, re-arm for the next one, deliver.
   void DeliverQueued();
-  // The i-th queued delivery, counting from the head.
-  QueuedDelivery& QueueAt(size_t i) { return queue_[(queue_head_ + i) & (queue_.size() - 1)]; }
   void Deliver(uint32_t slot);
   // Applies the MangleConfig to a packet that survived the loss models.
   // Mutates the payload in place (corrupt/truncate) and reports via `extra`
   // how long a reordered packet is held past its computed delay and via
   // `duplicate` whether a second copy must be scheduled.
   void Mangle(Packet& packet, SimDuration& extra, bool& duplicate);
-  uint32_t AcquireSlot();
 
   Network* network_;
   std::string name_;
@@ -158,13 +186,11 @@ class Lan {
   SimTime medium_free_at_;  // when the shared medium finishes its last frame
   uint64_t packets_ = 0;
   uint64_t bytes_ = 0;
-  std::vector<PendingDelivery> deliveries_;
-  std::vector<uint32_t> free_slots_;
-  // In-order delivery queue: a ring (power-of-two size, never shrunk)
-  // sorted by (time, sequence), whose head alone is armed in the loop.
-  std::vector<QueuedDelivery> queue_;
-  size_t queue_head_ = 0;
-  size_t queue_size_ = 0;
+  // In-order delivery queue: a list of pool slots linked through
+  // PendingDelivery::next, sorted by (time, sequence), whose head alone is
+  // armed in the loop. The tail is meaningful only while the head is.
+  uint32_t queue_head_ = DeliveryPool::kNone;
+  uint32_t queue_tail_ = DeliveryPool::kNone;
   TimerHandle queue_timer_;
   // Null when the Network has no metrics registry (obs::Inc is null-safe).
   obs::Counter* metric_corrupted_ = nullptr;

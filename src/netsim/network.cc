@@ -23,6 +23,8 @@ obs::MetricsRegistry* Network::EnableMetrics() {
                         metrics_->GetCounter("loop.timers_wheel"),
                         metrics_->GetCounter("loop.timers_heap"),
                         metrics_->GetCounter("loop.wheel_cascades"));
+    deliveries_.AttachMetrics(metrics_->GetGauge("mem.deliveries.live"),
+                              metrics_->GetGauge("mem.deliveries.peak"));
   }
   return metrics_.get();
 }
@@ -33,6 +35,8 @@ void Network::Reset(uint64_t seed) {
   // Nodes reference Lans (attachments), so nodes go before lans.
   nodes_.clear();
   lans_.clear();
+  // The Lans' parked deliveries go with them; the pool keeps its capacity.
+  deliveries_.Clear();
   trace_.ClearAll();
   // Values restart per run; registrations (and their capacity) survive so
   // the next run's nodes re-register without allocating.

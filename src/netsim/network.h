@@ -1,5 +1,6 @@
-// Network: the root object owning the event loop, RNG, trace recorder, and
-// every Lan and Node in a simulation.
+// Network: the root object owning the event loop, RNG, trace recorder,
+// every Lan and Node in a simulation, and the one pool that holds every
+// Lan's in-flight packets.
 //
 // Typical use:
 //   Network net(/*seed=*/42);
@@ -61,12 +62,16 @@ class Network {
 
   uint64_t NextPacketId() { return next_packet_id_++; }
 
+  // Every Lan's in-flight packets: one pool sized by the most packets ever
+  // in flight at once across the network (mem.deliveries.live/peak).
+  DeliveryPool& deliveries() { return deliveries_; }
+
   // Tear down every Node and Lan and return to the state of a freshly
   // constructed Network(seed) — clock at 0, packet ids restarting at 1, no
-  // trace records or interned names — while keeping the event loop's and
-  // trace recorder's warmed-up capacities. A reused arena runs the next
-  // simulation bit-identically to a fresh Network but without the per-run
-  // allocation storm; the fleet runner leans on this.
+  // trace records or interned names — while keeping the event loop's, the
+  // delivery pool's and the trace recorder's warmed-up capacities. A reused
+  // arena runs the next simulation bit-identically to a fresh Network but
+  // without the per-run allocation storm; the fleet runner leans on this.
   void Reset(uint64_t seed);
 
   void RunFor(SimDuration d) { loop_.RunFor(d); }
@@ -78,6 +83,7 @@ class Network {
   Rng rng_;
   TraceRecorder trace_;
   std::unique_ptr<obs::MetricsRegistry> metrics_;
+  DeliveryPool deliveries_;
   std::vector<std::unique_ptr<Lan>> lans_;
   std::vector<std::unique_ptr<Node>> nodes_;
   uint64_t next_packet_id_ = 1;

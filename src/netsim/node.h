@@ -42,8 +42,8 @@ class Node {
   // Called by the Lan when a packet is delivered to interface `iface`.
   // Takes the packet by rvalue reference: forwarding devices mutate it in
   // place and re-emit it, so the delivery→translate→transmit chain moves the
-  // Packet exactly twice (out of the Lan's slot pool and back in) instead of
-  // once per call frame.
+  // Packet exactly twice (out of the Network's delivery pool and back in)
+  // instead of once per call frame.
   virtual void HandlePacket(int iface, Packet&& packet) = 0;
 
   // Route `packet` by destination and emit it on the selected interface.

@@ -54,8 +54,8 @@ struct IcmpHeader {
 
 // Field order is deliberate: the fixed-size header fields pack ahead of the
 // 72-byte payload so the whole struct lands on 136 bytes — every in-flight
-// packet sits in a Lan delivery pool slot, so swarm-scale bursts multiply
-// this size by hundreds of thousands.
+// packet sits in a slot of its Network's delivery pool, so swarm-scale
+// bursts multiply this size by tens of thousands.
 struct Packet {
   Ipv4Address src_ip;
   Ipv4Address dst_ip;

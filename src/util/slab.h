@@ -23,14 +23,14 @@
 //  * Reset() destroys every live object and returns all slots to the
 //    freelist while KEEPING the slabs, mirroring the EventLoop/Network
 //    Reset idiom: a reused arena reaches steady state with zero allocation.
-//  * Release() frees the slabs themselves (destructor does too).
+//    Only the destructor frees the slabs.
 //  * Not thread-safe; one pool per owning subsystem, like every other
 //    container in this codebase.
 //
 // Observability: AttachMetrics wires mem.<pool>.live / .peak / .slabs
 // gauges into the registry (registration may allocate once; the alloc/free
-// path never does — the same rule the rest of src/obs follows). The stats()
-// snapshot powers scripts/memprof.sh's per-pool breakdown.
+// path never does — the same rule the rest of src/obs follows).
+// scripts/memprof.sh folds those gauges into its per-pool breakdown.
 
 #ifndef SRC_UTIL_SLAB_H_
 #define SRC_UTIL_SLAB_H_
@@ -38,8 +38,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -49,7 +49,7 @@ namespace natpunch {
 struct SlabStats {
   size_t live = 0;        // objects currently allocated
   size_t peak = 0;        // high-water live count
-  size_t slabs = 0;       // chunks held (never shrinks until Release)
+  size_t slabs = 0;       // chunks held (never shrinks)
   size_t capacity = 0;    // total slots across all slabs
   size_t slab_bytes = 0;  // bytes held in slabs (capacity * slot size)
 };
@@ -60,7 +60,13 @@ class Slab {
 
  public:
   Slab() = default;
-  ~Slab() { ReleaseSlabs(); }
+  ~Slab() {
+    while (slab_head_ != nullptr) {
+      SlabBlock* next = slab_head_->next;
+      ::operator delete(slab_head_);
+      slab_head_ = next;
+    }
+  }
 
   Slab(const Slab&) = delete;
   Slab& operator=(const Slab&) = delete;
@@ -96,32 +102,11 @@ class Slab {
     Recycle(obj);
   }
 
-  // Return the slot of an already-destroyed object (for callers that ran the
-  // destructor themselves, e.g. via placement destruction in containers).
-  void Recycle(void* raw) {
-    FreeSlot* slot = static_cast<FreeSlot*>(raw);
-    slot->next = free_head_;
-    free_head_ = slot;
-    --live_;
-    obs::Set(metric_live_, static_cast<int64_t>(live_));
-  }
-
   // Destroy every live object and rebuild the freelist over the existing
   // slabs. Keeps the memory: a Reset() pool re-reaches its old population
   // without allocating. Requires T to be safely destructible in slab order.
   void Reset() {
     FreeAllSlots</*destroy=*/true>();
-  }
-
-  // Drop the slabs themselves (and any live objects' storage — callers must
-  // have destroyed or abandoned them; live objects ARE destroyed here).
-  void Release() {
-    ReleaseSlabs();
-    free_head_ = nullptr;
-    slab_head_ = nullptr;
-    live_ = peak_ = slab_count_ = capacity_ = 0;
-    obs::Set(metric_live_, 0);
-    obs::Set(metric_slabs_, 0);
   }
 
   size_t live() const { return live_; }
@@ -167,6 +152,15 @@ class Slab {
 
   static_assert(kSlotAlign <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
                 "slab chunks come from plain operator new");
+
+  // Return the slot of a destroyed object to the freelist.
+  void Recycle(void* raw) {
+    FreeSlot* slot = static_cast<FreeSlot*>(raw);
+    slot->next = free_head_;
+    free_head_ = slot;
+    --live_;
+    obs::Set(metric_live_, static_cast<int64_t>(live_));
+  }
 
   // A chunk is this header followed by `count` slots, in one allocation.
   struct SlabBlock {
@@ -220,14 +214,6 @@ class Slab {
     obs::Set(metric_live_, 0);
   }
 
-  void ReleaseSlabs() {
-    while (slab_head_ != nullptr) {
-      SlabBlock* next = slab_head_->next;
-      ::operator delete(slab_head_);
-      slab_head_ = next;
-    }
-  }
-
   FreeSlot* free_head_ = nullptr;
   SlabBlock* slab_head_ = nullptr;
   size_t live_ = 0;
@@ -237,53 +223,6 @@ class Slab {
   obs::Gauge* metric_live_ = nullptr;
   obs::Gauge* metric_peak_ = nullptr;
   obs::Gauge* metric_slabs_ = nullptr;
-};
-
-// unique_ptr-style RAII over a slab slot, for owners that want scoped
-// lifetime without giving up pooled storage.
-template <typename T, size_t kObjectsPerSlab = 256>
-class SlabPtr {
- public:
-  SlabPtr() = default;
-  SlabPtr(Slab<T, kObjectsPerSlab>* pool, T* obj) : pool_(pool), obj_(obj) {}
-  ~SlabPtr() { reset(); }
-
-  SlabPtr(const SlabPtr&) = delete;
-  SlabPtr& operator=(const SlabPtr&) = delete;
-  SlabPtr(SlabPtr&& other) noexcept : pool_(other.pool_), obj_(other.obj_) {
-    other.obj_ = nullptr;
-  }
-  SlabPtr& operator=(SlabPtr&& other) noexcept {
-    if (this != &other) {
-      reset();
-      pool_ = other.pool_;
-      obj_ = other.obj_;
-      other.obj_ = nullptr;
-    }
-    return *this;
-  }
-
-  T* get() const { return obj_; }
-  T* operator->() const { return obj_; }
-  T& operator*() const { return *obj_; }
-  explicit operator bool() const { return obj_ != nullptr; }
-
-  void reset() {
-    if (obj_ != nullptr) {
-      pool_->Delete(obj_);
-      obj_ = nullptr;
-    }
-  }
-
-  T* release() {
-    T* obj = obj_;
-    obj_ = nullptr;
-    return obj;
-  }
-
- private:
-  Slab<T, kObjectsPerSlab>* pool_ = nullptr;
-  T* obj_ = nullptr;
 };
 
 }  // namespace natpunch

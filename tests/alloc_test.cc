@@ -140,8 +140,8 @@ TEST(ZeroAllocTest, SteadyStatePunchedExchangeAllocatesNothing) {
   // Punch + warm-up. The first unsolicited arrivals are dropped; once both
   // sides have sent, the holes stay open. The warm-up must process at least
   // as many rounds as the measured phase so every arena (closure pool,
-  // trace records vector, NAT tables, LAN delivery slots and queues)
-  // reaches its high-water capacity before counting starts.
+  // trace records vector, NAT tables, the delivery pool) reaches its
+  // high-water capacity before counting starts.
   constexpr int kRounds = 100;
   for (int i = 0; i < kRounds + 20; ++i) {
     ASSERT_TRUE((*sa)->SendTo(b_pub, msg, sizeof(msg)).ok());
@@ -451,6 +451,101 @@ TEST(ZeroAllocTest, ShardRingCopiesAndLookupsAllocateNothing) {
   g_counting.store(false);
   EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
   EXPECT_EQ(owners, 1000u * (0 + 1 + 2 + 3));  // each ladder is a permutation
+}
+
+// Counts what it receives and keeps nothing.
+class CountingNode : public Node {
+ public:
+  CountingNode(Network* net, std::string name) : Node(net, std::move(name)) {}
+  void HandlePacket(int, Packet&&) override { ++received; }
+  size_t received = 0;
+};
+
+// Sends `n` empty packets from `from` to `to`, all at once, and runs the
+// network until they have all arrived.
+void SendBurst(Network& net, Node* from, Ipv4Address to, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    Packet p;
+    p.set_dst(Endpoint(to, 9));
+    from->SendPacket(std::move(p));
+  }
+  net.RunUntilIdle();
+}
+
+TEST(ZeroAllocTest, BurstOnAnotherLanReusesTheDeliveryPool) {
+  // Every Lan parks its in-flight packets in its Network's one delivery
+  // pool, so a burst on a Lan that never carried one reuses the slots that
+  // bursts on another Lan grew: no per-Lan storage warms up again.
+  constexpr size_t kBurst = 1000;
+  Network net(1);
+  const obs::MetricsRegistry* reg = net.EnableMetrics();  // gauges record too
+  Lan* first = net.CreateLan("first", LanConfig{.latency = Millis(1)});
+  Lan* second = net.CreateLan("second", LanConfig{.latency = Millis(1)});
+  auto* a = net.Create<CountingNode>("a");
+  auto* b = net.Create<CountingNode>("b");
+  auto* c = net.Create<CountingNode>("c");
+  auto* d = net.Create<CountingNode>("d");
+  a->AttachTo(first, Ipv4Address::FromOctets(10, 0, 0, 1));
+  b->AttachTo(first, Ipv4Address::FromOctets(10, 0, 0, 2));
+  c->AttachTo(second, Ipv4Address::FromOctets(10, 0, 1, 1));
+  d->AttachTo(second, Ipv4Address::FromOctets(10, 0, 1, 2));
+  SendBurst(net, a, Ipv4Address::FromOctets(10, 0, 0, 2), kBurst);
+  SendBurst(net, a, Ipv4Address::FromOctets(10, 0, 0, 2), kBurst);
+
+  g_allocs.store(0);
+  g_samples.store(0);
+  g_counting.store(true);
+  SendBurst(net, c, Ipv4Address::FromOctets(10, 0, 1, 2), kBurst);
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
+  EXPECT_EQ(b->received, 2 * kBurst);
+  EXPECT_EQ(d->received, kBurst);
+  const obs::Gauge* live = reg->FindGauge("mem.deliveries.live");
+  const obs::Gauge* peak = reg->FindGauge("mem.deliveries.peak");
+  ASSERT_NE(live, nullptr);
+  ASSERT_NE(peak, nullptr);
+  EXPECT_EQ(live->value(), 0);
+  EXPECT_EQ(peak->value(), static_cast<int64_t>(kBurst));
+}
+
+TEST(ZeroAllocTest, NetworkResetKeepsTheDeliveryPool) {
+  // Network::Reset drops every Lan and the deliveries parked for them but
+  // keeps the pool's slots, so a reused Network's first burst parks in them
+  // rather than growing packet storage again, and the pool's gauges restart
+  // with the run.
+  constexpr size_t kBurst = 1000;
+  const Ipv4Address to = Ipv4Address::FromOctets(10, 0, 0, 2);
+  Network net(1);
+  const obs::MetricsRegistry* reg = net.EnableMetrics();  // gauges record too
+  CountingNode* sink = nullptr;
+  const auto build = [&] {
+    Lan* lan = net.CreateLan("lan", LanConfig{.latency = Millis(1)});
+    auto* from = net.Create<CountingNode>("from");
+    sink = net.Create<CountingNode>("sink");
+    from->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 1));
+    sink->AttachTo(lan, to);
+    return from;
+  };
+  SendBurst(net, build(), to, 2 * kBurst);
+  EXPECT_EQ(sink->received, 2 * kBurst);
+  net.Reset(1);
+  Node* from = build();
+
+  g_allocs.store(0);
+  g_samples.store(0);
+  g_counting.store(true);
+  SendBurst(net, from, to, kBurst);
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
+  EXPECT_EQ(sink->received, kBurst);
+  const obs::Gauge* live = reg->FindGauge("mem.deliveries.live");
+  const obs::Gauge* peak = reg->FindGauge("mem.deliveries.peak");
+  ASSERT_NE(live, nullptr);
+  ASSERT_NE(peak, nullptr);
+  EXPECT_EQ(live->value(), 0);
+  EXPECT_EQ(peak->value(), static_cast<int64_t>(kBurst));  // not the first run's
 }
 
 TEST(ZeroAllocTest, JumboPayloadsAllocateButStillFlow) {

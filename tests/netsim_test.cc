@@ -725,6 +725,64 @@ TEST(LanTest, DeliveryTransmitsAgainOnSameLan) {
   }
 }
 
+// Forwards every packet it receives as `fanout` numbered packets on its
+// second interface.
+class FanoutNode : public Node {
+ public:
+  FanoutNode(Network* net, std::string name, Ipv4Address to, int fanout)
+      : Node(net, std::move(name)), to_(to), fanout_(fanout) {}
+
+  void HandlePacket(int, Packet&&) override {
+    for (int i = 0; i < fanout_; ++i) {
+      Packet p;
+      p.payload = FanoutPayload(i);
+      p.set_dst(Endpoint(to_, 9));
+      SendPacket(std::move(p));
+    }
+  }
+
+  // Packet i's payload, distinct for every i < 6,400: 1 + i % 100 bytes
+  // (inline and heap), each i's low byte.
+  static Bytes FanoutPayload(int i) {
+    return Bytes(static_cast<size_t>(1 + i % 100), static_cast<uint8_t>(i));
+  }
+
+ private:
+  Ipv4Address to_;
+  int fanout_;
+};
+
+// A delivery on one Lan whose handler puts a burst on another Lan: the
+// shared delivery pool grows while the first delivery's Deliver is still on
+// the stack, and every packet of the burst still arrives once, in order,
+// with its payload.
+TEST(LanTest, DeliveryGrowsThePoolUnderItself) {
+  constexpr int kFanout = 1000;
+  Network net(1);
+  Lan* in = net.CreateLan("in", LanConfig{.latency = Millis(1)});
+  Lan* out = net.CreateLan("out", LanConfig{.latency = Millis(1)});
+  auto* a = net.Create<SinkNode>("a");
+  auto* fan = net.Create<FanoutNode>("fan", Ipv4Address::FromOctets(10, 0, 1, 2), kFanout);
+  auto* b = net.Create<SinkNode>("b");
+  a->AttachTo(in, Ipv4Address::FromOctets(10, 0, 0, 1));
+  fan->AttachTo(in, Ipv4Address::FromOctets(10, 0, 0, 2));
+  fan->AttachTo(out, Ipv4Address::FromOctets(10, 0, 1, 1));
+  b->AttachTo(out, Ipv4Address::FromOctets(10, 0, 1, 2));
+
+  Packet trigger;
+  trigger.set_dst(Endpoint(Ipv4Address::FromOctets(10, 0, 0, 2), 9));
+  ASSERT_TRUE(a->SendPacket(std::move(trigger)));
+  net.RunUntilIdle();
+
+  ASSERT_EQ(b->received.size(), static_cast<size_t>(kFanout));
+  for (int i = 0; i < kFanout; ++i) {
+    EXPECT_EQ(b->received[static_cast<size_t>(i)].payload.ToBytes(),
+              FanoutNode::FanoutPayload(i))
+        << "packet " << i;
+  }
+  EXPECT_EQ(net.now().micros(), 2000);
+}
+
 // Two attachments own one IP: a third node reaches the first owner, each
 // owner reaches the other one rather than itself, and a lone owner
 // addressing its own IP gets the packet back.
