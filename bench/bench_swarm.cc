@@ -3,8 +3,8 @@
 // the macro workload the timing-wheel + intrusive-timer work exists for:
 // the measured window is pure steady state — every datagram, keepalive, and
 // timer re-arm runs the zero-allocation path (asserted by alloc_test's
-// mini-swarm twin of this setup), and the wheel keeps 200k+ armed timers
-// O(1) to file and cascade.
+// mini-swarm twin of this setup), and the wheel files each of its 200k+
+// armed timers once, O(1), in the bucket of its deadline.
 //
 // Shape: 64 site pairs (a host behind its own cone NAT on each side), every
 // pair multiplexing NATPUNCH_SWARM_SESSIONS/64 punched sessions over one
@@ -22,12 +22,11 @@
 //
 //   swarm_steady_state          one standalone rendezvous server (unchanged
 //                               baseline workload)
-//   swarm_steady_state_sharded  a NATPUNCH_SWARM_SHARDS-shard rendezvous
-//                               tier (default 4): clients hash to their home
-//                               shard, registrations replicate to the ring
-//                               successor, and rendezvous keepalives keep
-//                               the failover machinery armed through the
-//                               measured window
+//   swarm_steady_state_sharded  a 4-shard rendezvous tier: clients hash to
+//                               their home shard, registrations replicate to
+//                               the ring successor, and rendezvous
+//                               keepalives keep the failover machinery armed
+//                               through the measured window
 //   swarm_memory_{100k,500k,1m} memory-scaling sweep (only when
 //                               NATPUNCH_SWARM_SCALING is set): unsharded
 //                               legs at fixed populations with a short
@@ -135,8 +134,9 @@ int RunLeg(const LegSpec& spec) {
 
   // The swarm configuration: keepalives on a jittered cadence (the
   // thundering-herd countermeasure this bench exists to exercise), expiry
-  // far beyond the run so 2x100k expiry timers park in the wheel's outer
-  // levels, and no private-endpoint probing (candidate realms are disjoint).
+  // far beyond the run so 2x100k expiry timers park in the wheel's ring
+  // laps ahead, and no private-endpoint probing (candidate realms are
+  // disjoint).
   UdpPunchConfig punch;
   punch.keepalive_interval = Seconds(5);
   punch.keepalive_jitter = Seconds(1);
@@ -352,10 +352,9 @@ int RunLegForked(const LegSpec& spec) {
 }
 
 int Run() {
-  const uint64_t shards = EnvU64("NATPUNCH_SWARM_SHARDS", 4);
   std::vector<LegSpec> legs = {
       {"swarm_steady_state", "Swarm steady state", 1},
-      {"swarm_steady_state_sharded", "Swarm steady state (sharded tier)", shards},
+      {"swarm_steady_state_sharded", "Swarm steady state (sharded tier)", 4},
   };
   if (std::getenv("NATPUNCH_SWARM_SCALING") != nullptr) {
     // Memory-scaling sweep: what matters is bytes/session at each

@@ -60,20 +60,20 @@ for leg, entry in legs.items():
         continue
     gauges = json.loads(snap_path.read_text()).get("gauges", {})
     # Gauge names are mem.<pool>.<host>.{live,peak,slabs} for the slabs and
-    # mem.deliveries.{live,peak} for the one host-less delivery pool;
-    # aggregate by pool across hosts. slab bytes are reported by the .slabs
-    # gauge count times the slot capacity, which the snapshot does not
-    # carry — report live and peak object counts plus slab counts per pool;
-    # object sizes are the compile-time budgets asserted in
-    # tests/slab_test.cc.
+    # mem.deliveries.{live,peak,bytes} for the one host-less delivery pool;
+    # aggregate by pool across hosts. The snapshot does not carry a slab's
+    # slot size, so a slab pool reports live and peak object counts plus its
+    # slab count (object sizes are the compile-time budgets asserted in
+    # tests/slab_test.cc); the delivery pool reports the bytes its slot
+    # vector holds.
     pools = {}
     for name, g in gauges.items():
-        m = re.match(r"mem\.([a-z_]+)(?:\.(.+))?\.(live|peak|slabs)$", name)
+        m = re.match(r"mem\.([a-z_]+)(?:\.(.+))?\.(live|peak|slabs|bytes)$", name)
         if not m:
             continue
         pool, _host, field = m.groups()
-        pools.setdefault(pool, {"live": 0, "peak": 0, "slabs": 0})
-        pools[pool][field] += g["value"]
+        counts = pools.setdefault(pool, {"live": 0, "peak": 0})
+        counts[field] = counts.get(field, 0) + g["value"]
     breakdown[leg] = {
         "sessions": entry.get("sessions"),
         "peak_rss_mb": entry.get("peak_rss_mb"),
@@ -88,6 +88,7 @@ for leg, data in breakdown.items():
     print(f"\n{leg}: {data['bytes_per_session']:.0f} bytes/session "
           f"({data['peak_rss_mb']:.1f} MiB / {data['sessions']} sessions)")
     for pool, counts in sorted(data["pools"].items()):
-        print(f"  {pool:<24} live={counts['live']:<9} peak={counts['peak']:<9} "
-              f"slabs={counts['slabs']}")
+        held = (f"bytes={counts['bytes']}" if "bytes" in counts
+                else f"slabs={counts.get('slabs', 0)}")
+        print(f"  {pool:<24} live={counts['live']:<9} peak={counts['peak']:<9} {held}")
 PY

@@ -104,16 +104,6 @@ int ResilientSession::total_repunch_attempts() const {
   return total;
 }
 
-void ResilientSession::SetPath(Path path) {
-  if (path_ == path) {
-    return;
-  }
-  path_ = path;
-  if (path_cb_) {
-    path_cb_(path);
-  }
-}
-
 void ResilientSession::RepunchFire() { manager_->AttemptRepunch(this); }
 
 void ResilientSession::RelayKeepAliveFire() {
@@ -233,7 +223,7 @@ void ResilientSessionManager::AdoptInner(ResilientSession* rs, UdpP2pSession* in
   rs->turn_.reset();
   rs->relay_confirmed_ = false;
   rs->relay_nonce_ = 0;
-  rs->SetPath(ResilientSession::Path::kDirect);
+  rs->path_ = ResilientSession::Path::kDirect;
   FlushPending(rs);
 }
 
@@ -260,7 +250,7 @@ void ResilientSessionManager::OnInnerDead(ResilientSession* rs, Status status) {
   rs->recovering_ = true;
   rs->died_at_ = loop_.now();
   rs->repunch_attempts_ = 0;
-  rs->SetPath(ResilientSession::Path::kConnecting);
+  rs->path_ = ResilientSession::Path::kConnecting;
   if (rs->initiator_) {
     ScheduleRepunch(rs);
   }
@@ -348,7 +338,7 @@ void ResilientSessionManager::FailSession(ResilientSession* rs, const Status& st
   rs->relay_keepalive_timer_.Cancel();
   rs->relay_watchdog_timer_.Cancel();
   rs->pending_sends_ = {};  // drop the buffer AND its capacity: dead sessions hold no bytes
-  rs->SetPath(ResilientSession::Path::kFailed);
+  rs->path_ = ResilientSession::Path::kFailed;
   if (rs->connect_cb_) {
     auto callback = std::move(rs->connect_cb_);
     rs->connect_cb_ = nullptr;
@@ -403,7 +393,7 @@ void ResilientSessionManager::EnterRelay(ResilientSession* rs) {
 }
 
 void ResilientSessionManager::RelayEstablished(ResilientSession* rs) {
-  rs->SetPath(ResilientSession::Path::kRelay);
+  rs->path_ = ResilientSession::Path::kRelay;
   // Arm the watchdog immediately: it also covers a responder that never
   // knocks (a relay that silently ate the introduction looks identical to
   // one that died after it).
@@ -434,7 +424,7 @@ void ResilientSessionManager::OnRelayForward(const RendezvousMessage& msg) {
   rs->relay_nonce_ = msg.nonce;
   rs->relay_target_ = *relayed;
   rs->relay_confirmed_ = false;
-  rs->SetPath(ResilientSession::Path::kRelay);
+  rs->path_ = ResilientSession::Path::kRelay;
   ArmRelayWatchdog(rs);
   if (rs->recovering_) {
     FinishRecovery(rs, /*via_relay=*/true);
@@ -564,7 +554,7 @@ void ResilientSessionManager::OnRelayDead(ResilientSession* rs) {
   rs->recovering_ = true;
   rs->died_at_ = loop_.now();
   rs->repunch_attempts_ = 0;
-  rs->SetPath(ResilientSession::Path::kConnecting);
+  rs->path_ = ResilientSession::Path::kConnecting;
   // Same division of labor as OnInnerDead: the initiator climbs the
   // recovery ladder (re-punch with backoff, then a fresh relay allocation —
   // which finds a rebooted relay server); the responder waits for the

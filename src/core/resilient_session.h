@@ -81,7 +81,6 @@ class ResilientSession {
   };
 
   using ReceiveCallback = std::function<void(const Bytes& payload)>;
-  using PathChangeCallback = std::function<void(Path)>;
   using DeadCallback = std::function<void(Status)>;
 
   // One completed recovery: death of the previous path to data flowing again.
@@ -97,7 +96,6 @@ class ResilientSession {
   Status Send(Bytes payload);
 
   void SetReceiveCallback(ReceiveCallback cb) { receive_cb_ = std::move(cb); }
-  void SetPathChangeCallback(PathChangeCallback cb) { path_cb_ = std::move(cb); }
   // Fired once if recovery is abandoned (path kFailed).
   void SetDeadCallback(DeadCallback cb) { dead_cb_ = std::move(cb); }
 
@@ -129,8 +127,6 @@ class ResilientSession {
 
   ResilientSession(ResilientSessionManager* manager, uint64_t peer_id, bool initiator)
       : manager_(manager), peer_id_(peer_id), initiator_(initiator) {}
-
-  void SetPath(Path path);
 
   // Intrusive timer thunks (zero-allocation arm/fire).
   void RepunchFire();
@@ -179,7 +175,6 @@ class ResilientSession {
 
   std::function<void(Result<ResilientSession*>)> connect_cb_;
   ReceiveCallback receive_cb_;
-  PathChangeCallback path_cb_;
   DeadCallback dead_cb_;
 };
 

@@ -10,6 +10,9 @@ namespace {
 constexpr SimDuration kReplyTimeout = Millis(800);
 constexpr int kPingAttempts = 4;
 
+// The private port both clients bind, so the NAT sees them contend for it.
+constexpr uint16_t kSharedPrivatePort = 4321;
+
 }  // namespace
 
 std::string MultiClientReport::ToString() const {
@@ -36,8 +39,8 @@ struct MultiClientNatCheck::Probe {
 };
 
 MultiClientNatCheck::MultiClientNatCheck(Host* client1, Host* client2, Endpoint udp1,
-                                         Endpoint udp2, Config config)
-    : client1_(client1), client2_(client2), udp1_(udp1), udp2_(udp2), config_(config) {}
+                                         Endpoint udp2)
+    : client1_(client1), client2_(client2), udp1_(udp1), udp2_(udp2) {}
 
 void MultiClientNatCheck::ConsistencyProbe(
     UdpSocket* socket, std::function<void(Result<std::pair<Endpoint, Endpoint>>)> cb) {
@@ -107,7 +110,7 @@ void MultiClientNatCheck::SendStage(const std::shared_ptr<Probe>& probe) {
 
 void MultiClientNatCheck::Run(std::function<void(Result<MultiClientReport>)> cb) {
   cb_ = std::move(cb);
-  auto bound1 = client1_->udp().Bind(config_.shared_private_port);
+  auto bound1 = client1_->udp().Bind(kSharedPrivatePort);
   if (!bound1.ok()) {
     cb_(bound1.status());
     return;
@@ -134,7 +137,7 @@ void MultiClientNatCheck::Advance() {
       return;
     case 2: {
       // Phase 2: client 2 joins from the same private port.
-      auto bound2 = client2_->udp().Bind(config_.shared_private_port);
+      auto bound2 = client2_->udp().Bind(kSharedPrivatePort);
       if (!bound2.ok()) {
         cb_(bound2.status());
         return;

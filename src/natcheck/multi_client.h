@@ -44,16 +44,9 @@ struct MultiClientReport {
 
 class MultiClientNatCheck {
  public:
-  struct Config {
-    uint16_t shared_private_port = 4321;
-  };
-
   // client1/client2: two hosts behind the NAT under test; udp1/udp2: the
   // NAT Check servers' UDP endpoints.
-  MultiClientNatCheck(Host* client1, Host* client2, Endpoint udp1, Endpoint udp2,
-                      Config config);
-  MultiClientNatCheck(Host* client1, Host* client2, Endpoint udp1, Endpoint udp2)
-      : MultiClientNatCheck(client1, client2, udp1, udp2, Config{}) {}
+  MultiClientNatCheck(Host* client1, Host* client2, Endpoint udp1, Endpoint udp2);
 
   void Run(std::function<void(Result<MultiClientReport>)> cb);
 
@@ -70,7 +63,6 @@ class MultiClientNatCheck {
   Host* client2_;
   Endpoint udp1_;
   Endpoint udp2_;
-  Config config_;
   std::function<void(Result<MultiClientReport>)> cb_;
   MultiClientReport report_;
   int phase_ = 0;

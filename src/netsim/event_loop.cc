@@ -117,9 +117,9 @@ std::function<void()> EventLoop::ReleaseClosure(uint32_t index) {
 void EventLoop::Reset() {
   // Detach every armed timer so its handle reads !pending() and a later
   // destructor or re-arm never touches this loop. Heap-resident timers are
-  // reachable through their slots, wheel-resident ones through the wheel's
-  // lists. Pending closures are destroyed (with anything they own) after
-  // their slot is freed.
+  // reachable through their slots, wheel-resident ones through the ring's
+  // occupied buckets. Pending closures are destroyed (with anything they
+  // own) after their slot is freed.
   for (uint32_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
     if (slot.seq == kFreeSeq) {
@@ -132,31 +132,12 @@ void EventLoop::Reset() {
       ReleaseClosure(i);
     }
   }
-  for (int level = 0; level < kWheelLevels; ++level) {
-    uint64_t bits = wheel_occupied_[level];
-    while (bits != 0) {
-      const int slot = Ctz(bits);
-      bits &= bits - 1;
-      for (TimerHandle* t = wheel_slots_[level][slot]; t != nullptr;) {
-        TimerHandle* next = t->next_;
-        t->state_ = TimerHandle::State::kIdle;
-        t->prev_ = t->next_ = nullptr;
-        t = next;
-      }
-      wheel_slots_[level][slot] = nullptr;
-    }
-    wheel_occupied_[level] = 0;
-  }
-  for (TimerHandle* t = overflow_head_; t != nullptr;) {
-    TimerHandle* next = t->next_;
+  while (wheel_size_ != 0) {
+    TimerHandle* t = wheel_[WheelNextSlot() & kWheelMask];
+    WheelUnlink(t);
     t->state_ = TimerHandle::State::kIdle;
-    t->prev_ = t->next_ = nullptr;
-    t = next;
   }
-  overflow_head_ = nullptr;
   wheel_cursor_ = 0;
-  wheel_size_ = 0;
-  wheel_lb_cache_ = -1;
   heap_.clear();
   live_ = 0;
   now_ = SimTime();
@@ -244,39 +225,18 @@ void EventLoop::TimerToHeap(TimerHandle* timer) {
 }
 
 void EventLoop::WheelFile(TimerHandle* timer) {
-  const uint64_t idx = SlotIndexFor(timer->deadline_);
-  const uint64_t delta = idx - wheel_cursor_;
-  int level = 0;
-  uint64_t span = kWheelSlots;
-  while (level < kWheelLevels && delta >= span) {
-    ++level;
-    span <<= kWheelSlotBits;
-  }
+  const auto bucket = static_cast<uint16_t>(SlotIndexFor(timer->deadline_) & kWheelMask);
   timer->state_ = TimerHandle::State::kInWheel;
+  timer->bucket_ = bucket;
   timer->prev_ = nullptr;
-  if (level == kWheelLevels) {
-    // Past the level-3 horizon (~76 h of simulated time): park in the
-    // overflow list, rescanned whenever the cursor enters a new level-3
-    // window.
-    timer->level_ = kOverflowLevel;
-    timer->next_ = overflow_head_;
-    if (overflow_head_ != nullptr) {
-      overflow_head_->prev_ = timer;
-    }
-    overflow_head_ = timer;
-  } else {
-    const auto slot = static_cast<uint8_t>((idx >> (kWheelSlotBits * level)) & (kWheelSlots - 1));
-    timer->level_ = static_cast<uint8_t>(level);
-    timer->slot_ = slot;
-    timer->next_ = wheel_slots_[level][slot];
-    if (timer->next_ != nullptr) {
-      timer->next_->prev_ = timer;
-    }
-    wheel_slots_[level][slot] = timer;
-    wheel_occupied_[level] |= 1ull << slot;
+  timer->next_ = wheel_[bucket];
+  if (timer->next_ != nullptr) {
+    timer->next_->prev_ = timer;
   }
+  wheel_[bucket] = timer;
+  wheel_bits_[bucket / 64] |= uint64_t{1} << (bucket % 64);
+  wheel_summary_ |= uint64_t{1} << (bucket / 64);
   ++wheel_size_;
-  wheel_lb_cache_ = -1;
 }
 
 void EventLoop::WheelUnlink(TimerHandle* timer) {
@@ -285,154 +245,51 @@ void EventLoop::WheelUnlink(TimerHandle* timer) {
   }
   if (timer->prev_ != nullptr) {
     timer->prev_->next_ = timer->next_;
-  } else if (timer->level_ == kOverflowLevel) {
-    overflow_head_ = timer->next_;
   } else {
-    wheel_slots_[timer->level_][timer->slot_] = timer->next_;
+    const uint16_t bucket = timer->bucket_;
+    wheel_[bucket] = timer->next_;
     if (timer->next_ == nullptr) {
-      wheel_occupied_[timer->level_] &= ~(1ull << timer->slot_);
+      uint64_t& bits = wheel_bits_[bucket / 64];
+      bits &= ~(uint64_t{1} << (bucket % 64));
+      if (bits == 0) {
+        wheel_summary_ &= ~(uint64_t{1} << (bucket / 64));
+      }
     }
   }
   timer->prev_ = timer->next_ = nullptr;
   --wheel_size_;
-  wheel_lb_cache_ = -1;
 }
 
-void EventLoop::WheelFlushSlot(uint64_t slot) {
-  TimerHandle* t = wheel_slots_[0][slot];
-  wheel_slots_[0][slot] = nullptr;
-  wheel_occupied_[0] &= ~(1ull << slot);
-  while (t != nullptr) {
-    TimerHandle* next = t->next_;
-    t->prev_ = t->next_ = nullptr;
-    --wheel_size_;
-    // The heap re-sorts by the original (deadline, id) key, so the arbitrary
-    // slot-list order here is invisible to the dispatch sequence.
-    TimerToHeap(t);
-    t = next;
+uint64_t EventLoop::WheelNextSlot() const {
+  // Look from the cursor's bucket to the end of the ring, then wrap round:
+  // an occupied bucket before the cursor's holds slots of the next lap.
+  const uint64_t pos = wheel_cursor_ & kWheelMask;
+  const uint64_t word = pos / 64;
+  uint64_t bucket = 0;
+  if (const uint64_t bits = wheel_bits_[word] & (~uint64_t{0} << (pos % 64)); bits != 0) {
+    bucket = word * 64 + Ctz(bits);
+  } else {
+    const uint64_t later = wheel_summary_ & ((~uint64_t{0} << word) << 1);
+    const uint64_t next_word = Ctz(later != 0 ? later : wheel_summary_);
+    bucket = next_word * 64 + Ctz(wheel_bits_[next_word]);
   }
+  return wheel_cursor_ - pos + bucket + (bucket < pos ? kWheelBuckets : 0);
 }
 
-void EventLoop::WheelCascade(int level) {
-  const auto slot =
-      static_cast<size_t>((wheel_cursor_ >> (kWheelSlotBits * level)) & (kWheelSlots - 1));
-  TimerHandle* t = wheel_slots_[level][slot];
-  if (t == nullptr) {
-    return;
-  }
-  wheel_slots_[level][slot] = nullptr;
-  wheel_occupied_[level] &= ~(1ull << slot);
-  while (t != nullptr) {
+void EventLoop::WheelFlush(uint64_t slot) {
+  for (TimerHandle* t = wheel_[slot & kWheelMask]; t != nullptr;) {
     TimerHandle* next = t->next_;
-    t->prev_ = t->next_ = nullptr;
-    --wheel_size_;
-    WheelFile(t);  // lands at a lower level: its delta is now < 64^level
-    obs::Inc(metric_wheel_cascades_);
-    t = next;
-  }
-}
-
-void EventLoop::WheelRescanOverflow() {
-  const uint64_t horizon = kWheelSlots * kWheelSlots * kWheelSlots * kWheelSlots;
-  TimerHandle* t = overflow_head_;
-  while (t != nullptr) {
-    TimerHandle* next = t->next_;
-    if (SlotIndexFor(t->deadline_) - wheel_cursor_ < horizon) {
+    if (SlotIndexFor(t->deadline_) == slot) {
       WheelUnlink(t);
-      WheelFile(t);
-      obs::Inc(metric_wheel_cascades_);
+      // The heap re-sorts by the original (deadline, id) key, so the
+      // bucket's list order is invisible to the dispatch sequence.
+      TimerToHeap(t);
+    } else {
+      obs::Inc(metric_wheel_cascades_);  // due a later lap: stays parked
     }
     t = next;
   }
-}
-
-void EventLoop::WheelBoundaryCascade() {
-  // Entering a new level-k window cascades that level's covering slot before
-  // any of the window's level-0 slots flush; highest level first so a
-  // level-3 entry can fall through 2 -> 1 -> 0 in one boundary crossing.
-  // Runs the moment the cursor lands on a boundary (not lazily on the next
-  // advance): WheelLowerBound relies on the covering slot being empty of
-  // current-window entries whenever it looks, so it can classify any
-  // occupant at the cursor's own position as next-wrap.
-  if ((wheel_cursor_ & (kWheelSlots * kWheelSlots - 1)) == 0) {
-    if ((wheel_cursor_ & (kWheelSlots * kWheelSlots * kWheelSlots - 1)) == 0) {
-      WheelRescanOverflow();
-      WheelCascade(3);
-    }
-    WheelCascade(2);
-  }
-  WheelCascade(1);
-}
-
-void EventLoop::WheelAdvanceTo(int64_t time_micros) {
-  const uint64_t target = SlotIndexFor(time_micros);
-  while (wheel_cursor_ <= target) {
-    const uint64_t window_base = wheel_cursor_ & ~(kWheelSlots - 1);
-    const uint64_t limit_idx = std::min(target, window_base + kWheelSlots - 1);
-    uint64_t bits = wheel_occupied_[0] & (~0ull << (wheel_cursor_ & (kWheelSlots - 1)));
-    while (bits != 0) {
-      const auto pos = static_cast<uint64_t>(Ctz(bits));
-      if (window_base + pos > limit_idx) {
-        break;
-      }
-      WheelFlushSlot(pos);
-      bits &= bits - 1;
-    }
-    wheel_cursor_ = limit_idx + 1;
-    if ((wheel_cursor_ & (kWheelSlots - 1)) == 0) {
-      WheelBoundaryCascade();
-    }
-  }
-  wheel_lb_cache_ = -1;
-}
-
-int64_t EventLoop::WheelLowerBound() {
-  if (wheel_lb_cache_ >= 0) {
-    return wheel_lb_cache_;
-  }
-  int64_t best = kNever;
-  // Level 0: slots at or after the cursor position belong to the current
-  // window; occupied slots *below* it are not stale (those were flushed) but
-  // wrapped — a delta just under 64 can land past the window boundary, in
-  // which case the slot covers cursor+64-aligned time, not cursor-aligned.
-  const uint64_t base0 = wheel_cursor_ & ~(kWheelSlots - 1);
-  const uint64_t bits0 = wheel_occupied_[0] & (~0ull << (wheel_cursor_ & (kWheelSlots - 1)));
-  if (bits0 != 0) {
-    best = static_cast<int64_t>((base0 + static_cast<uint64_t>(Ctz(bits0)))
-                                << kWheelGranularityBits);
-  } else if (wheel_occupied_[0] != 0) {
-    best = static_cast<int64_t>(
-        (base0 + kWheelSlots + static_cast<uint64_t>(Ctz(wheel_occupied_[0])))
-        << kWheelGranularityBits);
-  }
-  for (int level = 1; level < kWheelLevels; ++level) {
-    uint64_t bits = wheel_occupied_[level];
-    if (bits == 0) {
-      continue;
-    }
-    const int shift = kWheelSlotBits * level;
-    const uint64_t cursor_l = wheel_cursor_ >> shift;
-    const uint64_t base_l = cursor_l & ~(kWheelSlots - 1);
-    while (bits != 0) {
-      const auto pos = static_cast<uint64_t>(Ctz(bits));
-      bits &= bits - 1;
-      // A position at or behind the cursor's own slot belongs to the next
-      // wrap of this level (the covering slot was cascaded empty when the
-      // cursor entered it).
-      uint64_t abs_idx = base_l + pos;
-      if (abs_idx <= cursor_l) {
-        abs_idx += kWheelSlots;
-      }
-      const auto start =
-          static_cast<int64_t>(abs_idx << (static_cast<uint64_t>(shift) + kWheelGranularityBits));
-      best = std::min(best, start);
-    }
-  }
-  for (TimerHandle* t = overflow_head_; t != nullptr; t = t->next_) {
-    best = std::min(best, t->deadline_);
-  }
-  wheel_lb_cache_ = best;
-  return best;
+  wheel_cursor_ = slot + 1;
 }
 
 // --- Dispatch ---------------------------------------------------------------
@@ -442,12 +299,12 @@ bool EventLoop::PrepareTop(int64_t limit) {
     PopDead();
     if (wheel_size_ != 0) {
       const int64_t top = heap_.empty() ? kNever : heap_.front().time;
-      const int64_t lb = WheelLowerBound();
+      const uint64_t slot = WheelNextSlot();
       // A wheel timer might precede (or tie) the heap top: flush its slot
       // into the heap and re-evaluate. Equal times flush too — the wheel
       // entry may carry a smaller sequence than the heap top.
-      if (lb <= top && lb <= limit) {
-        WheelAdvanceTo(lb);
+      if (static_cast<int64_t>(slot << kWheelGranularityBits) <= std::min(top, limit)) {
+        WheelFlush(slot);
         continue;
       }
     }

@@ -16,10 +16,11 @@
 //    watchdogs, TURN refresh). A handle embeds its list links, deadline, and
 //    a member-function thunk in the owning object, so arming a timer
 //    allocates nothing and dispatch is one indirect call — no std::function,
-//    no type erasure. Far-out timers are parked in a hierarchical timing
-//    wheel (4 levels x 64 slots) and only migrate into the heap shortly
-//    before they are due, so a million armed keepalives cost the heap
-//    nothing until their slot comes up.
+//    no type erasure. Timers are parked in a timing wheel, one ring of 4,096
+//    buckets of ~16.4 ms, and only migrate into the heap shortly before they
+//    are due, so a million armed keepalives cost the heap nothing until
+//    their slot comes up. A timer more than one ~67 s lap away waits in its
+//    bucket for the lap that holds its deadline.
 //
 // Both tiers dispatch from one 4-ary min-heap of (time, id) keys with lazy
 // cancellation. Every heap-resident event holds a slot in one pool recycled
@@ -107,7 +108,7 @@ class TimerHandle {
 
   enum class State : uint8_t {
     kIdle,    // not armed
-    kInWheel, // linked into a wheel slot (or the overflow list)
+    kInWheel, // linked into its deadline's ring bucket, perhaps laps ahead
     kInHeap,  // migrated to the heap; holds a pool slot that points here
   };
 
@@ -119,8 +120,7 @@ class TimerHandle {
   TimerHandle* next_ = nullptr;
   int32_t obj_offset_ = 0;  // owner address minus handle address (Bind)
   State state_ = State::kIdle;
-  uint8_t level_ = 0;  // wheel position while kInWheel (kOverflowLevel = list)
-  uint8_t slot_ = 0;
+  uint16_t bucket_ = 0;  // ring bucket while kInWheel
 };
 static_assert(sizeof(TimerHandle) == 56,
               "TimerHandle is a per-session multiplied cost; keep it tight");
@@ -214,8 +214,8 @@ class EventLoop {
   // fired event, `heap_depth` tracks the pending-event level (a busy
   // in-order channel counts once) and its high-water mark, `timers_wheel`/
   // `timers_heap` split ScheduleTimerAt/After arms by which tier admitted
-  // them, and `wheel_cascades` counts entries re-filed when a higher wheel
-  // level spills into a lower one. Any may be null; recording is
+  // them, and `wheel_cascades` counts wheel timers a slot flush walked past
+  // because they are due a later lap. Any may be null; recording is
   // allocation-free.
   void AttachMetrics(obs::Counter* dispatched, obs::Gauge* heap_depth,
                      obs::Counter* timers_wheel = nullptr, obs::Counter* timers_heap = nullptr,
@@ -270,46 +270,35 @@ class EventLoop {
     uint32_t next_free = kNoSlot;  // free-list link while seq == kFreeSeq
   };
 
-  // --- Hierarchical timing wheel (timer staging tier) -----------------------
+  // --- Timing wheel (timer staging tier) ------------------------------------
   //
-  // Geometry: 4 levels of 64 slots at a 2^14 us (~16.4 ms) base granularity.
-  // Level k slot spans 64^k base slots, so the horizons are ~1.05 s, ~67 s,
-  // ~72 min, and ~76 h; anything farther sits in an intrusive overflow list
-  // rescanned each time the clock enters a new level-3 window. wheel_cursor_
-  // is the absolute level-0 slot index of the next unflushed slot: every
-  // slot below it has already been migrated into the heap, and a timer whose
-  // slot is below the cursor is admitted straight to the heap.
-  static constexpr int kWheelLevels = 4;
-  static constexpr int kWheelSlotBits = 6;
-  static constexpr uint64_t kWheelSlots = 1ull << kWheelSlotBits;
+  // One ring of 4,096 buckets at a 2^14 us (~16.4 ms) granularity, so a lap
+  // spans ~67 s: the hashed wheel of Varghese & Lauck. A timer is filed
+  // once, in bucket SlotIndexFor(deadline) & kWheelMask, however many laps
+  // away its deadline is. wheel_cursor_ is the absolute index of the next
+  // unflushed slot: every wheel timer's slot is at or after it, and a timer
+  // whose slot is below it is admitted straight to the heap. wheel_bits_
+  // marks the occupied buckets and wheel_summary_ the nonzero words of
+  // wheel_bits_, so finding the next occupied bucket takes three bit scans.
   static constexpr int kWheelGranularityBits = 14;
-  static constexpr uint8_t kOverflowLevel = kWheelLevels;
+  static constexpr uint64_t kWheelBuckets = 4096;
+  static constexpr uint64_t kWheelMask = kWheelBuckets - 1;
+  static_assert(kWheelBuckets == 64 * 64, "one summary word covers the bitmap");
 
   static uint64_t SlotIndexFor(int64_t time_micros) {
     return static_cast<uint64_t>(time_micros) >> kWheelGranularityBits;
   }
 
-  // File an armed handle into the wheel level matching its distance from the
-  // cursor (or the overflow list past the level-3 horizon).
+  // Link an armed handle into its deadline's bucket.
   void WheelFile(TimerHandle* timer);
   void WheelUnlink(TimerHandle* timer);
-  // Migrate every entry of level-0 slot `slot` into the heap.
-  void WheelFlushSlot(uint64_t slot);
-  // Re-file every entry of level `level`'s slot covering the cursor; runs
-  // when the cursor enters a new level-`level` window.
-  void WheelCascade(int level);
-  // Re-file overflow entries that fell inside the level-3 horizon.
-  void WheelRescanOverflow();
-  // Cascade every level whose window the cursor just entered (cursor must
-  // sit on a level-1 boundary). Called eagerly the moment the cursor lands
-  // there so covering slots never hold current-window entries between
-  // advances.
-  void WheelBoundaryCascade();
-  // Flush all slots whose start time is <= `time_micros` into the heap.
-  void WheelAdvanceTo(int64_t time_micros);
-  // Earliest possible deadline of any wheel-resident timer (slot start times
-  // lower-bound the deadlines inside), or INT64_MAX when the wheel is empty.
-  int64_t WheelLowerBound();
+  // The first slot at or after the cursor whose bucket is occupied. Its
+  // start lower-bounds every wheel timer's deadline. The wheel must not be
+  // empty.
+  uint64_t WheelNextSlot() const;
+  // Migrate the timers due in `slot` into the heap, leave its bucket's
+  // timers for later laps parked and move the cursor past it.
+  void WheelFlush(uint64_t slot);
 
   // Point `timer` (re-armed if pending) at `at` under `id` and count it
   // pending; the caller files it into a tier.
@@ -352,12 +341,11 @@ class EventLoop {
   // Timer tier state. A heap-resident timer is reachable only through its
   // slot, which its cancel or destructor frees: the orphaned heap key is
   // then stale and can never reach freed memory.
-  TimerHandle* wheel_slots_[kWheelLevels][kWheelSlots] = {};
-  uint64_t wheel_occupied_[kWheelLevels] = {};  // per-level slot bitmaps
-  TimerHandle* overflow_head_ = nullptr;
-  uint64_t wheel_cursor_ = 0;  // absolute level-0 index of next unflushed slot
-  size_t wheel_size_ = 0;      // wheel + overflow entries
-  int64_t wheel_lb_cache_ = -1;  // memoized WheelLowerBound (-1 = dirty)
+  TimerHandle* wheel_[kWheelBuckets] = {};
+  uint64_t wheel_bits_[kWheelBuckets / 64] = {};
+  uint64_t wheel_summary_ = 0;
+  uint64_t wheel_cursor_ = 0;  // absolute index of the next unflushed slot
+  size_t wheel_size_ = 0;
   bool wheel_enabled_ = true;
 
   obs::Counter* metric_dispatched_ = nullptr;

@@ -14,6 +14,7 @@ uint32_t DeliveryPool::Park(Node* node, int iface, Packet&& packet) {
   if (slot == kNone) {
     slot = static_cast<uint32_t>(slots_.size());
     slots_.emplace_back();
+    SetBytesGauge();
   } else {
     free_head_ = slots_[slot].next;
   }
@@ -39,13 +40,20 @@ void DeliveryPool::Clear() {
   slots_.clear();
   free_head_ = kNone;
   live_ = peak_ = 0;
+  SetBytesGauge();  // the capacity stays
 }
 
-void DeliveryPool::AttachMetrics(obs::Gauge* live, obs::Gauge* peak) {
+void DeliveryPool::AttachMetrics(obs::Gauge* live, obs::Gauge* peak, obs::Gauge* bytes) {
   metric_live_ = live;
   metric_peak_ = peak;
+  metric_bytes_ = bytes;
   obs::Set(metric_live_, live_);
   obs::Set(metric_peak_, peak_);
+  SetBytesGauge();
+}
+
+void DeliveryPool::SetBytesGauge() {
+  obs::Set(metric_bytes_, static_cast<int64_t>(slots_.capacity() * sizeof(PendingDelivery)));
 }
 
 Lan::Lan(Network* network, std::string name, LanConfig config)

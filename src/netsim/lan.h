@@ -107,16 +107,20 @@ class DeliveryPool {
   void Release(uint32_t slot);
   // Drop every slot and the payloads they own, keeping the capacity.
   void Clear();
-  // Wire the mem.deliveries.live/peak gauges; recording never allocates.
-  void AttachMetrics(obs::Gauge* live, obs::Gauge* peak);
+  // Wire the mem.deliveries.live/peak gauges and mem.deliveries.bytes, the
+  // memory the slot vector holds; recording never allocates.
+  void AttachMetrics(obs::Gauge* live, obs::Gauge* peak, obs::Gauge* bytes);
 
  private:
+  void SetBytesGauge();
+
   std::vector<PendingDelivery> slots_;
   uint32_t free_head_ = kNone;
   int64_t live_ = 0;
   int64_t peak_ = 0;
   obs::Gauge* metric_live_ = nullptr;
   obs::Gauge* metric_peak_ = nullptr;
+  obs::Gauge* metric_bytes_ = nullptr;
 };
 
 class Lan {

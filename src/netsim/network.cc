@@ -24,7 +24,8 @@ obs::MetricsRegistry* Network::EnableMetrics() {
                         metrics_->GetCounter("loop.timers_heap"),
                         metrics_->GetCounter("loop.wheel_cascades"));
     deliveries_.AttachMetrics(metrics_->GetGauge("mem.deliveries.live"),
-                              metrics_->GetGauge("mem.deliveries.peak"));
+                              metrics_->GetGauge("mem.deliveries.peak"),
+                              metrics_->GetGauge("mem.deliveries.bytes"));
   }
   return metrics_.get();
 }
@@ -35,14 +36,15 @@ void Network::Reset(uint64_t seed) {
   // Nodes reference Lans (attachments), so nodes go before lans.
   nodes_.clear();
   lans_.clear();
-  // The Lans' parked deliveries go with them; the pool keeps its capacity.
-  deliveries_.Clear();
   trace_.ClearAll();
   // Values restart per run; registrations (and their capacity) survive so
   // the next run's nodes re-register without allocating.
   if (metrics_ != nullptr) {
     metrics_->Reset();
   }
+  // The Lans' parked deliveries go with them; the pool keeps its capacity.
+  // Cleared after the registry so mem.deliveries.bytes reads that capacity.
+  deliveries_.Clear();
   rng_ = Rng(seed);
   next_packet_id_ = 1;
 }

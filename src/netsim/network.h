@@ -63,7 +63,7 @@ class Network {
   uint64_t NextPacketId() { return next_packet_id_++; }
 
   // Every Lan's in-flight packets: one pool sized by the most packets ever
-  // in flight at once across the network (mem.deliveries.live/peak).
+  // in flight at once across the network (mem.deliveries.live/peak/bytes).
   DeliveryPool& deliveries() { return deliveries_; }
 
   // Tear down every Node and Lan and return to the state of a freshly

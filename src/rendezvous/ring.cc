@@ -12,18 +12,21 @@ namespace {
 // a vnode point, which is harmless but makes the oracle test fiddly.
 constexpr uint64_t kVnodeSalt = 0x53484152445250ULL;  // "SHARDRP"
 
+// Virtual points per shard.
+constexpr uint32_t kVnodes = 64;
+
 }  // namespace
 
-ShardRing::ShardRing(std::vector<Endpoint> shards, uint32_t vnodes) {
+ShardRing::ShardRing(std::vector<Endpoint> shards) {
   struct Point {
     uint64_t hash;
     uint32_t shard;
   };
   const size_t n = shards.size();
   std::vector<Point> points;
-  points.reserve(n * vnodes);
+  points.reserve(n * kVnodes);
   for (uint32_t shard = 0; shard < n; ++shard) {
-    for (uint32_t vnode = 0; vnode < vnodes; ++vnode) {
+    for (uint32_t vnode = 0; vnode < kVnodes; ++vnode) {
       const uint64_t hash =
           HashMix64(kVnodeSalt ^ (static_cast<uint64_t>(shard) << 32) ^ vnode);
       points.push_back({hash, shard});

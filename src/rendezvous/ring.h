@@ -8,14 +8,15 @@
 // a shard hashes a registration to find the replica successor, and a
 // forwarding shard hashes a target ID to find where to route a lookup.
 //
-// Each shard contributes `vnodes` virtual points to the ring (hashed from
-// its index, not its endpoint, so renumbering a shard's address never moves
-// ownership). A key is owned by the shard whose point is the first at or
-// after the key's hash, wrapping at the top — the classic Karger ring, which
-// is what bounds re-mapping when a shard is added: only the arcs adjacent to
-// the new shard's points move, unlike modulo placement which reshuffles
-// nearly everything (asserted by the differential test against a naive
-// modulo oracle).
+// Each shard contributes 64 virtual points to the ring (hashed from its
+// index, not its endpoint, so renumbering a shard's address never moves
+// ownership). The count is a constant: a server and its clients must build
+// the same ring to agree on every client's home shard. A key is owned by
+// the shard whose point is the first at or after the key's hash, wrapping
+// at the top — the classic Karger ring, which is what bounds re-mapping
+// when a shard is added: only the arcs adjacent to the new shard's points
+// move, unlike modulo placement which reshuffles nearly everything
+// (asserted by the differential test against a naive modulo oracle).
 //
 // A ShardRing is a handle to one immutable state: the shard endpoints, the
 // sorted vnode points and each point's ladder of distinct owners. Copies
@@ -37,10 +38,8 @@ namespace natpunch {
 
 class ShardRing {
  public:
-  static constexpr uint32_t kDefaultVnodes = 64;
-
   ShardRing() = default;
-  explicit ShardRing(std::vector<Endpoint> shards, uint32_t vnodes = kDefaultVnodes);
+  explicit ShardRing(std::vector<Endpoint> shards);
 
   size_t size() const { return state_ == nullptr ? 0 : state_->shards.size(); }
   bool empty() const { return size() == 0; }

@@ -6,11 +6,18 @@
 #include "src/util/logging.h"
 
 namespace natpunch {
+namespace {
+
+// The rate limit's window, and how long a quarantined UDP source is ignored.
+constexpr SimDuration kRateWindow = Seconds(1);
+constexpr SimDuration kQuarantineDuration = Seconds(30);
+
+}  // namespace
 
 RendezvousServer::RendezvousServer(Host* host, uint16_t port, Options options)
     : host_(host), port_(port), options_(options) {
   if (!options_.shard.shards.empty()) {
-    ring_ = ShardRing(options_.shard.shards, options_.shard.vnodes);
+    ring_ = ShardRing(options_.shard.shards);
   }
   if (obs::MetricsRegistry* reg = host_->network()->metrics()) {
     metric_rate_limited_ = reg->GetCounter("rendezvous.rate_limited_drops");
@@ -273,7 +280,7 @@ bool RendezvousServer::AdmitUdp(const Endpoint& from) {
     return false;
   }
   if (options_.max_msgs_per_window > 0) {
-    if (now - src.window_start >= options_.rate_window) {
+    if (now - src.window_start >= kRateWindow) {
       src.window_start = now;
       src.msgs_in_window = 0;
     }
@@ -292,7 +299,7 @@ void RendezvousServer::NoteUdpMalformed(const Endpoint& from) {
   }
   SourceState& src = sources_[from];
   if (++src.malformed >= options_.quarantine_threshold) {
-    src.quarantined_until = host_->loop().now() + options_.quarantine_duration;
+    src.quarantined_until = host_->loop().now() + kQuarantineDuration;
     src.malformed = 0;
     ++stats_.quarantined_sources;
     obs::Inc(metric_quarantined_);

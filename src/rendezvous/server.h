@@ -32,7 +32,6 @@ namespace natpunch {
 struct ShardConfig {
   std::vector<Endpoint> shards;  // every shard's endpoint, in ring order
   uint32_t index = 0;            // this server's position in `shards`
-  uint32_t vnodes = ShardRing::kDefaultVnodes;
 };
 
 class RendezvousServer {
@@ -44,13 +43,11 @@ class RendezvousServer {
     // them on explicitly.
     //
     // Per-source UDP rate limit: more than max_msgs_per_window messages from
-    // one source endpoint within rate_window are dropped (and counted).
+    // one source endpoint within one second are dropped (and counted).
     uint32_t max_msgs_per_window = 0;  // 0 = no rate limiting
-    SimDuration rate_window = Seconds(1);
     // Quarantine: a source that sends quarantine_threshold malformed frames
-    // is ignored for quarantine_duration (UDP) or disconnected (TCP).
+    // is ignored for 30 s (UDP) or disconnected (TCP).
     uint32_t quarantine_threshold = 0;  // 0 = no quarantine
-    SimDuration quarantine_duration = Seconds(30);
     // Sharded-tier placement; default (empty shard list) = standalone.
     ShardConfig shard;
   };

@@ -46,14 +46,6 @@
 
 namespace natpunch {
 
-struct SlabStats {
-  size_t live = 0;        // objects currently allocated
-  size_t peak = 0;        // high-water live count
-  size_t slabs = 0;       // chunks held (never shrinks)
-  size_t capacity = 0;    // total slots across all slabs
-  size_t slab_bytes = 0;  // bytes held in slabs (capacity * slot size)
-};
-
 template <typename T, size_t kObjectsPerSlab = 256>
 class Slab {
   static_assert(kObjectsPerSlab > 0, "slab chunk must hold at least one object");
@@ -109,20 +101,10 @@ class Slab {
     FreeAllSlots</*destroy=*/true>();
   }
 
-  size_t live() const { return live_; }
-  size_t peak() const { return peak_; }
-  size_t slab_count() const { return slab_count_; }
-  size_t capacity() const { return capacity_; }
-
-  SlabStats stats() const {
-    SlabStats s;
-    s.live = live_;
-    s.peak = peak_;
-    s.slabs = slab_count_;
-    s.capacity = capacity_;
-    s.slab_bytes = capacity_ * kSlotSize;
-    return s;
-  }
+  size_t live() const { return live_; }     // objects currently allocated
+  size_t peak() const { return peak_; }     // high-water live count
+  size_t slab_count() const { return slab_count_; }  // chunks held (never shrinks)
+  size_t capacity() const { return capacity_; }      // slots across all slabs
 
   // Register mem.<pool>.live/peak/slabs gauges. Null registry detaches.
   void AttachMetrics(obs::MetricsRegistry* registry, std::string_view pool) {

@@ -477,6 +477,10 @@ TEST(ZeroAllocTest, BurstOnAnotherLanReusesTheDeliveryPool) {
   // pool, so a burst on a Lan that never carried one reuses the slots that
   // bursts on another Lan grew: no per-Lan storage warms up again.
   constexpr size_t kBurst = 1000;
+  // The slot vector doubles from one slot, so the first bursts leave room
+  // for 1,024. The counted burst fills that room: its last 24 packets
+  // append slots, and each append records mem.deliveries.bytes.
+  constexpr size_t kCapacity = 1024;
   Network net(1);
   const obs::MetricsRegistry* reg = net.EnableMetrics();  // gauges record too
   Lan* first = net.CreateLan("first", LanConfig{.latency = Millis(1)});
@@ -495,25 +499,28 @@ TEST(ZeroAllocTest, BurstOnAnotherLanReusesTheDeliveryPool) {
   g_allocs.store(0);
   g_samples.store(0);
   g_counting.store(true);
-  SendBurst(net, c, Ipv4Address::FromOctets(10, 0, 1, 2), kBurst);
+  SendBurst(net, c, Ipv4Address::FromOctets(10, 0, 1, 2), kCapacity);
   g_counting.store(false);
 
   EXPECT_EQ(g_allocs.load(), 0u) << DescribeSamples();
   EXPECT_EQ(b->received, 2 * kBurst);
-  EXPECT_EQ(d->received, kBurst);
+  EXPECT_EQ(d->received, kCapacity);
   const obs::Gauge* live = reg->FindGauge("mem.deliveries.live");
   const obs::Gauge* peak = reg->FindGauge("mem.deliveries.peak");
+  const obs::Gauge* bytes = reg->FindGauge("mem.deliveries.bytes");
   ASSERT_NE(live, nullptr);
   ASSERT_NE(peak, nullptr);
+  ASSERT_NE(bytes, nullptr);
   EXPECT_EQ(live->value(), 0);
-  EXPECT_EQ(peak->value(), static_cast<int64_t>(kBurst));
+  EXPECT_EQ(peak->value(), static_cast<int64_t>(kCapacity));
+  EXPECT_EQ(bytes->value(), static_cast<int64_t>(kCapacity * sizeof(PendingDelivery)));
 }
 
 TEST(ZeroAllocTest, NetworkResetKeepsTheDeliveryPool) {
   // Network::Reset drops every Lan and the deliveries parked for them but
   // keeps the pool's slots, so a reused Network's first burst parks in them
   // rather than growing packet storage again, and the pool's gauges restart
-  // with the run.
+  // with the run: live and peak from zero, bytes at the kept capacity.
   constexpr size_t kBurst = 1000;
   const Ipv4Address to = Ipv4Address::FromOctets(10, 0, 0, 2);
   Network net(1);
@@ -530,6 +537,9 @@ TEST(ZeroAllocTest, NetworkResetKeepsTheDeliveryPool) {
   SendBurst(net, build(), to, 2 * kBurst);
   EXPECT_EQ(sink->received, 2 * kBurst);
   net.Reset(1);
+  const obs::Gauge* bytes = reg->FindGauge("mem.deliveries.bytes");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(bytes->value(), static_cast<int64_t>(2048 * sizeof(PendingDelivery)));
   Node* from = build();
 
   g_allocs.store(0);

@@ -660,9 +660,7 @@ TEST(AttackerTest, GarbageBlasterIsQuarantinedWhilePunchSucceeds) {
   // Rendezvous server with the hostile-client controls on.
   RendezvousServer::Options hardened;
   hardened.max_msgs_per_window = 50;
-  hardened.rate_window = Seconds(1);
   hardened.quarantine_threshold = 5;
-  hardened.quarantine_duration = Seconds(30);
   RendezvousServer server(topo.server, kServerPort, hardened);
   ASSERT_TRUE(server.Start().ok());
 

@@ -235,10 +235,8 @@ TEST_F(ContentionTest, SwitchingNatDetectedOnlyByMultiClientCheck) {
 TEST_F(ContentionTest, DistinctPortsAvoidTheSwitch) {
   Build(/*switches=*/true);
   // Clients on different private ports never contend.
-  MultiClientNatCheck::Config config;
-  config.shared_private_port = 4321;
   MultiClientNatCheck check(topo_.a, second_, servers_->udp_endpoint(1),
-                            servers_->udp_endpoint(2), config);
+                            servers_->udp_endpoint(2));
   // Pre-bind the second client elsewhere so its later bind on 4321 fails —
   // instead just verify directly: first client alone stays consistent even
   // after the second client uses a DIFFERENT port.

@@ -1,10 +1,12 @@
-// Hierarchical timing wheel tests: exact dispatch order (the wheel is a
-// staging tier under the heap, so pops must keep the strict (time, sequence)
-// total order the golden traces depend on), slot rollover, far-future
-// overflow parking, cancellation from every residence state, Reset() reuse,
-// and a randomized wheel-vs-heap differential oracle. The scenario-level
-// check at the bottom replays a full punch scenario with the wheel on and
-// off and requires byte-identical Trace::Dump() output.
+// Timing wheel tests. The wheel is one ring of 4,096 buckets of 2^14 us, a
+// ~67 s lap, staged under the heap, so pops must keep the strict (time,
+// sequence) total order the golden traces depend on. Covered: exact order
+// across many ring positions, timers parked laps ahead in a shared bucket,
+// far-future timers thousands of laps ahead, cancellation from every
+// residence state, Reset() reuse, and a randomized wheel-vs-heap
+// differential oracle. The scenario-level check at the bottom replays a
+// full punch scenario with the wheel on and off and requires byte-identical
+// Trace::Dump() output.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,7 @@
 
 #include "src/core/udp_puncher.h"
 #include "src/netsim/event_loop.h"
+#include "src/obs/metrics.h"
 #include "src/rendezvous/client.h"
 #include "src/rendezvous/server.h"
 #include "src/scenario/scenario.h"
@@ -22,9 +25,11 @@
 namespace natpunch {
 namespace {
 
-// One L0 slot is 2^14 us; one L0 window is 64 slots.
+// One ring slot is 2^14 us; kWindowUs is 64 slots, one word of the ring's
+// occupancy bitmap; a lap of the ring is 4,096 slots.
 constexpr int64_t kSlotUs = 1 << 14;
 constexpr int64_t kWindowUs = 64 * kSlotUs;
+constexpr int64_t kLapUs = 4096 * kSlotUs;
 
 struct FireLog {
   EventLoop* loop = nullptr;
@@ -43,8 +48,8 @@ struct FireLog {
 TEST(TimerWheelTest, SlotRolloverKeepsExactOrderAcrossWindows) {
   EventLoop loop;
   std::vector<std::string> log;
-  // Deadlines straddling several L0 windows and one L1 boundary, scheduled
-  // out of deadline order so the wheel has to do the sorting.
+  // Deadlines straddling several bitmap words and one lap of the ring,
+  // scheduled out of deadline order so the wheel has to do the sorting.
   const int64_t deadlines[] = {3 * kWindowUs + 5,  kSlotUs / 2,       kWindowUs - 1,
                                kWindowUs,          kWindowUs + 1,     2 * kWindowUs + kSlotUs,
                                65 * kWindowUs + 7, 5 * kWindowUs + 3, kSlotUs * 63};
@@ -98,8 +103,8 @@ TEST(TimerWheelTest, FarFutureTimerParksInOverflowAndFiresExactly) {
   std::vector<std::string> log;
   FireLog farfut{&loop, &log, 9, {}};
   farfut.handle.Bind<&FireLog::Fire>(&farfut);
-  // ~100 simulated hours: past the level-3 horizon (~76 h), so the handle
-  // parks in the overflow list and must survive several rescans.
+  // ~100 simulated hours: over 5,000 laps ahead, so the handle stays parked
+  // in its bucket while the cursor passes it lap after lap.
   const int64_t when = 100ll * 3600 * 1000000 + 12345;
   loop.ScheduleTimerAt(SimTime(when), &farfut.handle);
   EXPECT_EQ(loop.wheel_pending(), 1u);
@@ -118,11 +123,50 @@ TEST(TimerWheelTest, FarFutureTimerParksInOverflowAndFiresExactly) {
   EXPECT_EQ(log[0], "t9@" + std::to_string(when));
 }
 
+TEST(TimerWheelTest, LaterLapsStayParkedInTheirBucket) {
+  // Three timers share one bucket: one due this lap, one a lap later and
+  // one three laps later. Flushing the bucket's slot moves only the timer
+  // due in it; the other two stay parked, hold no pool slot, and are each
+  // counted in loop.wheel_cascades every time a flush walks past them.
+  EventLoop loop;
+  obs::MetricsRegistry registry;
+  obs::Counter* walked = registry.GetCounter("loop.wheel_cascades");
+  loop.AttachMetrics(nullptr, nullptr, nullptr, nullptr, walked);
+  std::vector<std::string> log;
+  const int64_t base = 5 * kSlotUs + 123;
+  const int64_t deadlines[] = {base + 3 * kLapUs, base, base + kLapUs};
+  std::vector<FireLog> timers(std::size(deadlines));
+  for (size_t i = 0; i < timers.size(); ++i) {
+    timers[i].loop = &loop;
+    timers[i].log = &log;
+    timers[i].tag = static_cast<int>(i);
+    timers[i].handle.Bind<&FireLog::Fire>(&timers[i]);
+    loop.ScheduleTimerAt(SimTime(deadlines[i]), &timers[i].handle);
+  }
+  EXPECT_EQ(loop.wheel_pending(), 3u);
+
+  loop.RunUntil(SimTime(base));
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], "t1@" + std::to_string(base));
+  EXPECT_EQ(loop.wheel_pending(), 2u) << "later laps must stay in the wheel";
+  EXPECT_EQ(loop.pending_count(), 2u);
+  EXPECT_EQ(walked->value(), 2u);
+
+  loop.RunUntil(SimTime(base + 4 * kLapUs));
+  ASSERT_EQ(log.size(), 3u);
+  EXPECT_EQ(log[1], "t2@" + std::to_string(base + kLapUs));
+  EXPECT_EQ(log[2], "t0@" + std::to_string(base + 3 * kLapUs));
+  // The three-lap timer was walked past once more in each of the next two
+  // laps before its own.
+  EXPECT_EQ(walked->value(), 4u);
+  EXPECT_EQ(loop.wheel_pending(), 0u);
+}
+
 TEST(TimerWheelTest, CancelWorksFromEveryResidence) {
   EventLoop loop;
   std::vector<std::string> log;
-  // One timer per residence tier: level 0 (heap after flush), level 1+,
-  // and the overflow list.
+  // One timer per residence: due this lap, a later bitmap word of this
+  // lap, and thousands of laps ahead.
   FireLog near{&loop, &log, 0, {}};
   FireLog mid{&loop, &log, 1, {}};
   FireLog far{&loop, &log, 2, {}};
@@ -145,9 +189,9 @@ TEST(TimerWheelTest, CancelWorksFromEveryResidence) {
 }
 
 TEST(TimerWheelTest, CancelDuringCascadeWindow) {
-  // A timer cancelled by an earlier-firing timer in the *same* L0 window:
-  // by then the victim has cascaded down to level 0 / the heap, so this
-  // exercises unlink-after-migration rather than the easy in-slot unlink.
+  // A timer cancelled by an earlier-firing timer in the same bitmap word of
+  // the ring: the victim is still parked in its bucket when the killer
+  // fires, so this cancels a wheel-resident timer from a dispatch.
   EventLoop loop;
   std::vector<std::string> log;
   FireLog victim{&loop, &log, 7, {}};
@@ -158,7 +202,7 @@ TEST(TimerWheelTest, CancelDuringCascadeWindow) {
     void Fire() { target->Cancel(); }
   } killer{&victim.handle, {}};
   killer.handle.Bind<&Killer::Fire>(&killer);
-  // Same L1 slot (same window), killer a few slots earlier.
+  // Same bitmap word, killer a few slots earlier.
   loop.ScheduleTimerAt(SimTime(5 * kWindowUs + 2 * kSlotUs), &killer.handle);
   loop.ScheduleTimerAt(SimTime(5 * kWindowUs + 9 * kSlotUs), &victim.handle);
   loop.RunUntil(SimTime(6 * kWindowUs));
@@ -294,10 +338,13 @@ TEST(TimerWheelDifferentialTest, MatchesHeapOnlyOrderAcrossAllLevels) {
     int64_t horizon;
     int64_t max_step;
   };
-  // Short/dense exercises L0/L1 windows; medium crosses L2/L3 boundaries;
-  // long/sparse crosses the overflow horizon (~76 h).
+  // Short/dense stays inside a lap of the ring (~67 s); lap-straddling
+  // re-arms up to ~1.5 laps ahead, so buckets hold timers of this lap and
+  // the next; medium parks timers up to ~7 laps ahead; long/sparse up to
+  // ~1,300 laps.
   const Config configs[] = {
       {24, 120000000ll, 7000000ll},
+      {32, 1000000000ll, 100000000ll},
       {16, 9000000000ll, 500000000ll},
       {8, 600000000000ll, 90000000000ll},
   };
