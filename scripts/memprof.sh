@@ -4,8 +4,8 @@
 # Builds the Release bench targets, runs bench_swarm's unsharded leg with
 # the metrics registry enabled (NATPUNCH_SWARM_METRICS) and the obs artifact
 # hook pointed at an output directory, then folds the mem.<pool>.* gauges
-# (the slabs' and the Network's delivery pool) from the metrics snapshot
-# into a per-pool bytes breakdown JSON —
+# (the slabs' and the Network's delivery pool, each with the bytes it
+# holds) from the metrics snapshot into a per-pool bytes breakdown JSON —
 # the artifact CI uploads so a bytes/session regression can be attributed
 # to a specific pool (sessions? registration records? TCP sockets?) instead
 # of re-running locally with a profiler.
@@ -59,13 +59,11 @@ for leg, entry in legs.items():
     if not snap_path.exists():
         continue
     gauges = json.loads(snap_path.read_text()).get("gauges", {})
-    # Gauge names are mem.<pool>.<host>.{live,peak,slabs} for the slabs and
-    # mem.deliveries.{live,peak,bytes} for the one host-less delivery pool;
-    # aggregate by pool across hosts. The snapshot does not carry a slab's
-    # slot size, so a slab pool reports live and peak object counts plus its
-    # slab count (object sizes are the compile-time budgets asserted in
-    # tests/slab_test.cc); the delivery pool reports the bytes its slot
-    # vector holds.
+    # Gauge names are mem.<pool>.<host>.{live,peak,slabs,bytes} for the
+    # slabs and mem.deliveries.{live,peak,bytes} for the one host-less
+    # delivery pool; aggregate by pool across hosts. Every pool reports the
+    # bytes it holds: a slab its chunks (headers plus capacity x slot size),
+    # the delivery pool its slot vector.
     pools = {}
     for name, g in gauges.items():
         m = re.match(r"mem\.([a-z_]+)(?:\.(.+))?\.(live|peak|slabs|bytes)$", name)
@@ -88,7 +86,7 @@ for leg, data in breakdown.items():
     print(f"\n{leg}: {data['bytes_per_session']:.0f} bytes/session "
           f"({data['peak_rss_mb']:.1f} MiB / {data['sessions']} sessions)")
     for pool, counts in sorted(data["pools"].items()):
-        held = (f"bytes={counts['bytes']}" if "bytes" in counts
-                else f"slabs={counts.get('slabs', 0)}")
-        print(f"  {pool:<24} live={counts['live']:<9} peak={counts['peak']:<9} {held}")
+        slabs = f"slabs={counts['slabs']:<6} " if "slabs" in counts else ""
+        print(f"  {pool:<24} live={counts['live']:<9} peak={counts['peak']:<9} {slabs}"
+              f"bytes={counts.get('bytes', 0)} ({counts.get('bytes', 0) / 2**20:.2f} MiB)")
 PY

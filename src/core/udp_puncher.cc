@@ -10,8 +10,8 @@
 namespace natpunch {
 
 // Footprint budget (see DESIGN.md "Memory footprint"): two of these exist
-// per counted swarm session. 72 bytes of state + two 56-byte timer handles.
-static_assert(sizeof(UdpP2pSession) <= 184,
+// per counted swarm session. 72 bytes of state + one 56-byte timer handle.
+static_assert(sizeof(UdpP2pSession) <= 128,
               "UdpP2pSession grew past its footprint budget; move cold fields "
               "to the puncher side table instead");
 
@@ -177,7 +177,7 @@ void UdpHolePuncher::OnPeerTraffic(const Endpoint& from, const Payload& payload)
       case PeerMsgType::kKeepAlive:
       case PeerMsgType::kProbeReply:
       default:
-        return;  // activity already refreshed the expiry timer
+        return;  // activity already pushed the expiry deadline back
     }
   }
 
@@ -276,8 +276,14 @@ void UdpHolePuncher::FinishAttempt(uint64_t nonce, const Endpoint& winner) {
   raw->probes_sent_ = static_cast<uint16_t>(
       std::min(probes_sent, static_cast<int>(std::numeric_limits<uint16_t>::max())));
   raw->last_inbound_ = loop_.now();
+  // The cadence is a function of the nonce alone, so the jittered schedule
+  // stays deterministic under a given seed.
+  raw->next_keepalive_ = config_.keepalives_enabled
+                             ? loop_.now() + KeepAliveInterval(nonce)
+                             : SimTime(std::numeric_limits<int64_t>::max());
   sessions_.InsertOrAssign(nonce, raw);
-  ArmSessionTimers(raw);
+  raw->timer_.Bind<&UdpP2pSession::TimerFire>(raw);
+  ArmSessionTimer(raw);
 
   NP_LOG(Info) << rendezvous_->host()->name() << " punched UDP session to peer "
                << peer_id << " at " << winner.ToString()
@@ -305,42 +311,39 @@ void UdpHolePuncher::FailAttempt(uint64_t nonce, const Status& status) {
   }
 }
 
-void UdpHolePuncher::ArmSessionTimers(UdpP2pSession* session) {
-  // Intrusive handles embedded in the session: arming, firing, and the
-  // periodic re-arm allocate nothing, and CloseSession/ destruction cancels
-  // in O(1). The keepalive cadence is fixed per session at punch time so the
-  // jittered schedule stays deterministic under a given seed.
-  session->keepalive_interval_ = config_.keepalive_interval;
-  if (config_.keepalive_jitter.micros() > 0) {
-    const int64_t jitter = config_.keepalive_jitter.micros();
-    const int64_t offset =
-        static_cast<int64_t>(HashMix64(session->nonce_) % static_cast<uint64_t>(2 * jitter + 1)) -
-        jitter;
-    session->keepalive_interval_ =
-        Micros(std::max<int64_t>(config_.keepalive_interval.micros() + offset, 1));
+SimDuration UdpHolePuncher::KeepAliveInterval(uint64_t nonce) const {
+  const int64_t jitter = config_.keepalive_jitter.micros();
+  if (jitter <= 0) {
+    return config_.keepalive_interval;
   }
-  if (config_.keepalives_enabled) {
-    session->keepalive_timer_.Bind<&UdpP2pSession::KeepAliveFire>(session);
-    loop_.ScheduleTimerAfter(session->keepalive_interval_, &session->keepalive_timer_);
-  }
-  session->expiry_timer_.Bind<&UdpP2pSession::ExpiryFire>(session);
-  loop_.ScheduleTimerAfter(config_.session_expiry, &session->expiry_timer_);
+  const int64_t offset =
+      static_cast<int64_t>(HashMix64(nonce) % static_cast<uint64_t>(2 * jitter + 1)) - jitter;
+  return Micros(std::max<int64_t>(config_.keepalive_interval.micros() + offset, 1));
 }
 
-void UdpHolePuncher::SessionKeepAliveTick(UdpP2pSession* session) {
-  // Only an alive session can fire: CloseSession cancels the handle.
-  SendPeerMessage(session->peer_endpoint_, PeerMsgType::kKeepAlive, session->nonce_, Bytes{});
-  loop_.ScheduleTimerAfter(session->keepalive_interval_, &session->keepalive_timer_);
+void UdpHolePuncher::ArmSessionTimer(UdpP2pSession* session) {
+  // An intrusive handle embedded in the session: arming, firing and the
+  // re-arm allocate nothing, and CloseSession/destruction cancels in O(1).
+  loop_.ScheduleTimerAt(
+      std::min(session->next_keepalive_, session->last_inbound_ + config_.session_expiry),
+      &session->timer_);
 }
 
-void UdpHolePuncher::SessionExpiryTick(UdpP2pSession* session) {
-  const SimTime deadline = session->last_inbound_ + config_.session_expiry;
-  if (loop_.now() >= deadline) {
+void UdpHolePuncher::SessionTick(UdpP2pSession* session) {
+  // Only an alive session can fire: CloseSession cancels the handle. Expiry
+  // comes first, so a session whose deadline and keepalive share an instant
+  // closes without sending.
+  const SimTime now = loop_.now();
+  if (now >= session->last_inbound_ + config_.session_expiry) {
     CloseSession(session, Status(ErrorCode::kTimedOut, "peer silent past expiry"),
                  /*notify=*/true);
     return;
   }
-  loop_.ScheduleTimerAt(deadline, &session->expiry_timer_);
+  if (now >= session->next_keepalive_) {
+    SendPeerMessage(session->peer_endpoint_, PeerMsgType::kKeepAlive, session->nonce_, Bytes{});
+    session->next_keepalive_ = now + KeepAliveInterval(session->nonce_);
+  }
+  ArmSessionTimer(session);
 }
 
 void UdpHolePuncher::SessionInboundSeen(UdpP2pSession* session) {
@@ -352,8 +355,7 @@ void UdpHolePuncher::CloseSession(UdpP2pSession* session, const Status& status, 
     return;
   }
   session->flags_ &= static_cast<uint8_t>(~UdpP2pSession::kAlive);
-  session->keepalive_timer_.Cancel();
-  session->expiry_timer_.Cancel();
+  session->timer_.Cancel();
   if (notify && (session->flags_ & UdpP2pSession::kHasDeadCb) != 0) {
     SessionCallbacks* cbs = session_callbacks_.Find(session->nonce_);
     if (cbs != nullptr && cbs->dead) {
@@ -408,9 +410,7 @@ void UdpHolePuncher::DispatchReceive(UdpP2pSession* session, const Bytes& payloa
 // UdpP2pSession
 // ---------------------------------------------------------------------------
 
-void UdpP2pSession::KeepAliveFire() { puncher_->SessionKeepAliveTick(this); }
-
-void UdpP2pSession::ExpiryFire() { puncher_->SessionExpiryTick(this); }
+void UdpP2pSession::TimerFire() { puncher_->SessionTick(this); }
 
 void UdpP2pSession::SetReceiveCallback(ReceiveCallback cb) {
   puncher_->SetSessionReceiveCallback(this, std::move(cb));

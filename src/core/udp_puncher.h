@@ -58,9 +58,11 @@ class UdpHolePuncher;
 // Established P2P session. Deliberately compact: the swarm benchmarks keep
 // two of these alive per counted session (initiator and responder side), so
 // at 1M sessions every byte of this struct is 2 MB of resident memory. The
-// two std::function callbacks (64 bytes, unused by the vast majority of
-// swarm sessions) live in a puncher-side table keyed by nonce, guarded here
-// by flag bits; booleans and small counters are packed into the tail pad.
+// receive and dead callbacks (unused by the vast majority of swarm
+// sessions) live in a puncher-side table keyed by nonce, guarded here by
+// flag bits; booleans and small counters are packed into the tail pad. One
+// timer serves both §3.6 duties: it fires at the earlier of the next
+// keepalive and the expiry deadline.
 class UdpP2pSession {
  public:
   using ReceiveCallback = std::function<void(const Bytes& payload)>;
@@ -96,9 +98,8 @@ class UdpP2pSession {
 
   explicit UdpP2pSession(UdpHolePuncher* puncher) : puncher_(puncher) {}
 
-  // Intrusive timer thunks (zero-allocation arm/fire).
-  void KeepAliveFire();
-  void ExpiryFire();
+  // Intrusive timer thunk (zero-allocation arm/fire).
+  void TimerFire();
 
   UdpHolePuncher* puncher_;
   uint64_t peer_id_ = 0;
@@ -106,17 +107,15 @@ class UdpP2pSession {
   uint64_t datagrams_sent_ = 0;
   uint64_t datagrams_received_ = 0;
   SimTime last_inbound_;
-  // This session's jittered keepalive cadence (== config interval + the
-  // nonce-hashed offset; just the config interval when jitter is off).
-  SimDuration keepalive_interval_;
+  // When the next keepalive leaves; never, with keepalives disabled.
+  SimTime next_keepalive_;
   Endpoint peer_endpoint_;
   // Punch duration in µs, saturating at ~71.6 minutes — informational only,
   // and punch_timeout makes longer punches unreachable in practice.
   uint32_t punch_elapsed_us_ = 0;
   uint16_t probes_sent_ = 0;  // saturating; accessor widens back to int
   uint8_t flags_ = kAlive;
-  TimerHandle keepalive_timer_;
-  TimerHandle expiry_timer_;
+  TimerHandle timer_;  // at min(next_keepalive_, last_inbound_ + session_expiry)
 };
 
 class UdpHolePuncher {
@@ -187,7 +186,7 @@ class UdpHolePuncher {
     int probes_sent = 0;
     int probe_rounds = 0;
     SessionCallback cb;
-    // Intrusive handles, like the session timers: arming one needs no
+    // Intrusive handles, like the session timer: arming one needs no
     // std::function, it takes a 56 B event-pool slot only when it leaves
     // the timing wheel shortly before it fires, and a cancel unlinks the
     // handle or frees that slot. The map node gives them the stable
@@ -209,9 +208,11 @@ class UdpHolePuncher {
   void OnPeerTraffic(const Endpoint& from, const Payload& payload);
   void OnSocketError(const Endpoint& dst, ErrorCode code);
 
-  void ArmSessionTimers(UdpP2pSession* session);
-  void SessionKeepAliveTick(UdpP2pSession* session);
-  void SessionExpiryTick(UdpP2pSession* session);
+  // This session's keepalive cadence: the config interval plus an offset
+  // hashed from the nonce into [-keepalive_jitter, +keepalive_jitter].
+  SimDuration KeepAliveInterval(uint64_t nonce) const;
+  void ArmSessionTimer(UdpP2pSession* session);
+  void SessionTick(UdpP2pSession* session);
   void SessionInboundSeen(UdpP2pSession* session);
   void CloseSession(UdpP2pSession* session, const Status& status, bool notify);
 

@@ -9,6 +9,12 @@
 // churn: once a table has hit its high-water capacity, insert/erase cycles
 // never touch the heap.
 //
+// A slot is just the key and the value: a <uint64_t, T*> slot is 16 bytes.
+// Occupancy lives in one byte per slot, stored after the slots in the same
+// block, so a table is one allocation and a rehash is one more. Only
+// occupied slots hold constructed elements. The load cap is 7/8, so a
+// swarm puncher's 1,563 sessions fit in 2,048 slots.
+//
 // Deliberately minimal: Find / FindOrInsert / InsertOrAssign / Erase /
 // Clear. No iterators — every caller in this codebase does point lookups,
 // and the NAT expiry path walks its own intrusive lists instead of the
@@ -20,9 +26,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <new>
 #include <utility>
-#include <vector>
 
 namespace natpunch {
 
@@ -39,10 +46,29 @@ template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class FlatHashMap {
  public:
   FlatHashMap() = default;
+  ~FlatHashMap() { Release(); }
+
+  FlatHashMap(FlatHashMap&& other) noexcept
+      : slots_(std::exchange(other.slots_, nullptr)),
+        used_(std::exchange(other.used_, nullptr)),
+        size_(std::exchange(other.size_, 0)),
+        mask_(std::exchange(other.mask_, 0)) {}
+  FlatHashMap& operator=(FlatHashMap&& other) noexcept {
+    if (this != &other) {
+      Release();
+      slots_ = std::exchange(other.slots_, nullptr);
+      used_ = std::exchange(other.used_, nullptr);
+      size_ = std::exchange(other.size_, 0);
+      mask_ = std::exchange(other.mask_, 0);
+    }
+    return *this;
+  }
+  FlatHashMap(const FlatHashMap&) = delete;
+  FlatHashMap& operator=(const FlatHashMap&) = delete;
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  size_t capacity() const { return slots_.size(); }
+  size_t capacity() const { return slots_ == nullptr ? 0 : mask_ + 1; }
 
   Value* Find(const Key& key) {
     const size_t i = ProbeFor(key);
@@ -59,7 +85,7 @@ class FlatHashMap {
   Value* FindOrInsert(const Key& key, bool* inserted = nullptr) {
     MaybeGrow();
     size_t i = HomeOf(key);
-    while (slots_[i].used) {
+    while (used_[i] != 0) {
       if (slots_[i].key == key) {
         if (inserted != nullptr) {
           *inserted = false;
@@ -68,8 +94,8 @@ class FlatHashMap {
       }
       i = (i + 1) & mask_;
     }
-    slots_[i].used = true;
-    slots_[i].key = key;
+    ::new (static_cast<void*>(slots_ + i)) Slot{key, Value{}};
+    used_[i] = 1;
     ++size_;
     if (inserted != nullptr) {
       *inserted = true;
@@ -89,24 +115,24 @@ class FlatHashMap {
     if (i == kNpos) {
       return false;
     }
+    slots_[i].~Slot();
     // Backward-shift: pull every displaced element of the cluster whose home
-    // precedes the hole back over it, leaving no tombstone.
+    // precedes the hole back over it, leaving no tombstone. The hole at `i`
+    // holds no element while the loop looks for the next one to move in.
     size_t j = i;
     for (;;) {
       j = (j + 1) & mask_;
-      if (!slots_[j].used) {
+      if (used_[j] == 0) {
         break;
       }
       const size_t home = HomeOf(slots_[j].key);
       if (((j - home) & mask_) >= ((j - i) & mask_)) {
-        slots_[i].key = std::move(slots_[j].key);
-        slots_[i].value = std::move(slots_[j].value);
+        ::new (static_cast<void*>(slots_ + i)) Slot(std::move(slots_[j]));
+        slots_[j].~Slot();
         i = j;
       }
     }
-    slots_[i].key = Key{};
-    slots_[i].value = Value{};
-    slots_[i].used = false;
+    used_[i] = 0;
     --size_;
     return true;
   }
@@ -120,9 +146,9 @@ class FlatHashMap {
     if (size_ == 0) {
       return;
     }
-    for (Slot& slot : slots_) {
-      if (slot.used) {
-        fn(slot.key, slot.value);
+    for (size_t i = 0; i <= mask_; ++i) {
+      if (used_[i] != 0) {
+        fn(slots_[i].key, slots_[i].value);
       }
     }
   }
@@ -131,9 +157,9 @@ class FlatHashMap {
     if (size_ == 0) {
       return;
     }
-    for (const Slot& slot : slots_) {
-      if (slot.used) {
-        fn(slot.key, slot.value);
+    for (size_t i = 0; i <= mask_; ++i) {
+      if (used_[i] != 0) {
+        fn(slots_[i].key, slots_[i].value);
       }
     }
   }
@@ -143,25 +169,21 @@ class FlatHashMap {
     if (size_ == 0) {
       return;
     }
-    for (Slot& slot : slots_) {
-      if (slot.used) {
-        slot.key = Key{};
-        slot.value = Value{};
-        slot.used = false;
-      }
-    }
+    DestroyAll();
+    std::memset(used_, 0, capacity());
     size_ = 0;
   }
 
  private:
   struct Slot {
-    Key key{};
-    Value value{};
-    bool used = false;
+    Key key;
+    Value value;
   };
+  static_assert(alignof(Slot) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "the slot block comes from plain operator new");
 
   static constexpr size_t kNpos = static_cast<size_t>(-1);
-  // 4 slots hold 3 entries under the 3/4 load cap. Most tables are per peer
+  // 4 slots hold 3 entries under the 7/8 load cap. Most tables are per peer
   // (a host's sockets, a puncher's sessions and callbacks, a manager's
   // sessions), hold 1-3 entries, and exist thousands of times over; a table
   // that outgrows 4 slots doubles through 8, 16 and on.
@@ -178,7 +200,7 @@ class FlatHashMap {
       return kNpos;
     }
     size_t i = HomeOf(key);
-    while (slots_[i].used) {
+    while (used_[i] != 0) {
       if (slots_[i].key == key) {
         return i;
       }
@@ -188,31 +210,57 @@ class FlatHashMap {
   }
 
   void MaybeGrow() {
-    if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) {
-      Rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
+    if (slots_ == nullptr || (size_ + 1) * 8 > capacity() * 7) {
+      Rehash(slots_ == nullptr ? kMinCapacity : capacity() * 2);
     }
   }
 
+  // Move every element into a fresh block of `new_capacity` slots followed
+  // by their occupancy bytes, then free the old block.
   void Rehash(size_t new_capacity) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_ = std::vector<Slot>();
-    slots_.resize(new_capacity);  // not assign(): Slot is move-only when Value is
+    Slot* const old_slots = slots_;
+    const uint8_t* const old_used = used_;
+    const size_t old_capacity = capacity();
+    slots_ = static_cast<Slot*>(::operator new(new_capacity * (sizeof(Slot) + 1)));
+    used_ = reinterpret_cast<uint8_t*>(slots_ + new_capacity);
+    std::memset(used_, 0, new_capacity);
     mask_ = new_capacity - 1;
-    for (Slot& slot : old) {
-      if (!slot.used) {
+    for (size_t k = 0; k < old_capacity; ++k) {
+      if (old_used[k] == 0) {
         continue;
       }
-      size_t i = HomeOf(slot.key);
-      while (slots_[i].used) {
+      size_t i = HomeOf(old_slots[k].key);
+      while (used_[i] != 0) {
         i = (i + 1) & mask_;
       }
-      slots_[i].key = std::move(slot.key);
-      slots_[i].value = std::move(slot.value);
-      slots_[i].used = true;
+      ::new (static_cast<void*>(slots_ + i)) Slot(std::move(old_slots[k]));
+      used_[i] = 1;
+      old_slots[k].~Slot();
+    }
+    ::operator delete(old_slots);
+  }
+
+  void DestroyAll() {
+    for (size_t i = 0; i <= mask_; ++i) {
+      if (used_[i] != 0) {
+        slots_[i].~Slot();
+      }
     }
   }
 
-  std::vector<Slot> slots_;
+  void Release() {
+    if (size_ != 0) {
+      DestroyAll();
+    }
+    ::operator delete(slots_);
+    slots_ = nullptr;
+    used_ = nullptr;
+    size_ = 0;
+    mask_ = 0;
+  }
+
+  Slot* slots_ = nullptr;    // capacity() slots, then capacity() occupancy bytes
+  uint8_t* used_ = nullptr;  // 1 where the slot holds an element
   size_t size_ = 0;
   size_t mask_ = 0;
 };

@@ -27,9 +27,10 @@
 //  * Not thread-safe; one pool per owning subsystem, like every other
 //    container in this codebase.
 //
-// Observability: AttachMetrics wires mem.<pool>.live / .peak / .slabs
-// gauges into the registry (registration may allocate once; the alloc/free
-// path never does — the same rule the rest of src/obs follows).
+// Observability: AttachMetrics wires mem.<pool>.live / .peak / .slabs /
+// .bytes gauges into the registry (registration may allocate once; the
+// alloc/free path never does — the same rule the rest of src/obs follows).
+// .bytes is what the chunks hold: their headers plus capacity x slot size.
 // scripts/memprof.sh folds those gauges into its per-pool breakdown.
 
 #ifndef SRC_UTIL_SLAB_H_
@@ -105,20 +106,24 @@ class Slab {
   size_t peak() const { return peak_; }     // high-water live count
   size_t slab_count() const { return slab_count_; }  // chunks held (never shrinks)
   size_t capacity() const { return capacity_; }      // slots across all slabs
+  // Bytes the chunks hold: every header plus capacity() slots.
+  size_t bytes() const { return slab_count_ * kHeaderSize + capacity_ * kSlotSize; }
 
-  // Register mem.<pool>.live/peak/slabs gauges. Null registry detaches.
+  // Register mem.<pool>.live/peak/slabs/bytes gauges. Null registry detaches.
   void AttachMetrics(obs::MetricsRegistry* registry, std::string_view pool) {
     if (registry == nullptr) {
-      metric_live_ = metric_peak_ = metric_slabs_ = nullptr;
+      metric_live_ = metric_peak_ = metric_slabs_ = metric_bytes_ = nullptr;
       return;
     }
     const std::string base = "mem." + std::string(pool);
     metric_live_ = registry->GetGauge(base + ".live");
     metric_peak_ = registry->GetGauge(base + ".peak");
     metric_slabs_ = registry->GetGauge(base + ".slabs");
+    metric_bytes_ = registry->GetGauge(base + ".bytes");
     obs::Set(metric_live_, static_cast<int64_t>(live_));
     obs::Set(metric_peak_, static_cast<int64_t>(peak_));
     obs::Set(metric_slabs_, static_cast<int64_t>(slab_count_));
+    obs::Set(metric_bytes_, static_cast<int64_t>(bytes()));
   }
 
  private:
@@ -163,6 +168,7 @@ class Slab {
     ++slab_count_;
     capacity_ += count;
     obs::Set(metric_slabs_, static_cast<int64_t>(slab_count_));
+    obs::Set(metric_bytes_, static_cast<int64_t>(bytes()));
     // Thread the new slots onto the freelist back-to-front so allocation
     // walks the block front-to-back (friendlier to the prefetcher).
     for (size_t i = count; i-- > 0;) {
@@ -205,6 +211,7 @@ class Slab {
   obs::Gauge* metric_live_ = nullptr;
   obs::Gauge* metric_peak_ = nullptr;
   obs::Gauge* metric_slabs_ = nullptr;
+  obs::Gauge* metric_bytes_ = nullptr;
 };
 
 }  // namespace natpunch

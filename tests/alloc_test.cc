@@ -453,6 +453,37 @@ TEST(ZeroAllocTest, ShardRingCopiesAndLookupsAllocateNothing) {
   EXPECT_EQ(owners, 1000u * (0 + 1 + 2 + 3));  // each ladder is a permutation
 }
 
+TEST(ZeroAllocTest, SlabBytesGaugeRecordsWithoutAllocating) {
+  // A pool's only allocations are its chunks: growing a metered pool to a
+  // swarm puncher's 1,563 sessions allocates once per chunk, and
+  // mem.<pool>.bytes then reads every byte those chunks hold.
+  obs::MetricsRegistry registry;
+  Slab<UdpP2pSession, 128> pool;
+  pool.AttachMetrics(&registry, "udp_sessions.test");  // registration may allocate
+  const obs::Gauge* bytes = registry.FindGauge("mem.udp_sessions.test.bytes");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_EQ(bytes->value(), 0);
+  std::vector<UdpP2pSession*> sessions;
+  sessions.reserve(1563);
+
+  g_allocs.store(0);
+  g_samples.store(0);
+  g_counting.store(true);
+  for (int i = 0; i < 1563; ++i) {
+    sessions.push_back(pool.New(nullptr));
+  }
+  g_counting.store(false);
+
+  EXPECT_EQ(g_allocs.load(), pool.slab_count()) << DescribeSamples();
+  EXPECT_EQ(pool.capacity(), 1664u);  // 1 + 1 + 2 + ... + 64, then 128-slot chunks
+  EXPECT_EQ(bytes->value(), static_cast<int64_t>(pool.bytes()));
+  EXPECT_EQ(pool.bytes(),
+            pool.slab_count() * 16 + pool.capacity() * sizeof(UdpP2pSession));
+  for (UdpP2pSession* session : sessions) {
+    pool.Delete(session);
+  }
+}
+
 // Counts what it receives and keeps nothing.
 class CountingNode : public Node {
  public:

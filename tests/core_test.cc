@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/core/connector.h"
 #include "src/core/nat_prober.h"
 #include "src/core/prediction.h"
@@ -32,19 +34,15 @@ class UdpPunchTest : public ::testing::Test {
  protected:
   void BuildFig5(const NatConfig& nat_a, const NatConfig& nat_b,
                  Scenario::Options options = Scenario::Options{}) {
+    DropPeers();
     topo5_ = MakeFig5(nat_a, nat_b, options);
     Setup(topo5_.scenario.get(), topo5_.server, topo5_.a, topo5_.b);
   }
 
   // Takes a test-built topology's scenario, so that it outlives the server,
-  // clients and punchers below. A previous Setup's objects die first, while
-  // the scenario they run on still exists.
+  // clients and punchers below.
   void Setup(std::unique_ptr<Scenario> scenario, Host* server_host, Host* a, Host* b) {
-    pb_.reset();
-    pa_.reset();
-    cb_.reset();
-    ca_.reset();
-    server_.reset();
+    DropPeers();
     owned_scenario_ = std::move(scenario);
     Setup(owned_scenario_.get(), server_host, a, b);
   }
@@ -65,15 +63,63 @@ class UdpPunchTest : public ::testing::Test {
     ASSERT_TRUE(cb_->registered());
   }
 
+  // A previous Setup's objects die first, while the scenario they run on
+  // still exists.
+  void DropPeers() {
+    pb_.reset();
+    pa_.reset();
+    cb_.reset();
+    ca_.reset();
+    server_.reset();
+    session_ = nullptr;
+    incoming_ = nullptr;
+  }
+
   // Punch from A to B and return A's session (nullptr on failure).
   UdpP2pSession* Punch(SimDuration budget = Seconds(15)) {
     punch_result_ = Status(ErrorCode::kInProgress);
     pa_->ConnectToPeer(2, [this](Result<UdpP2pSession*> r) {
       punch_result_ = r.ok() ? Status::Ok() : r.status();
       session_ = r.ok() ? *r : nullptr;
+      punched_at_ = scenario_->net().now();
     });
     scenario_->net().RunFor(budget);
     return session_;
+  }
+
+  // Session timer cases: both punchers run `config`, and the trace records
+  // every hop from here on.
+  void BuildFig5ForSessionTimer(const UdpPunchConfig& config) {
+    BuildFig5(NatConfig{}, NatConfig{});
+    pa_ = std::make_unique<UdpHolePuncher>(ca_.get(), config);
+    pb_ = std::make_unique<UdpHolePuncher>(cb_.get(), config);
+    scenario_->net().trace().set_enabled(true);
+  }
+
+  // Cut B's site off: nothing B sends from now on reaches A.
+  void SilenceB() { topo5_.site_b.lan->set_up(false); }
+
+  // When A put a packet for `to` on its LAN, after `since`.
+  std::vector<SimTime> SendsFromA(const Endpoint& to, SimTime since) const {
+    std::vector<SimTime> times;
+    for (const TraceRecord& r : scenario_->net().trace().records()) {
+      if (r.event == TraceEvent::kSend && r.node == topo5_.a->trace_id() && r.dst == to &&
+          r.time > since) {
+        times.push_back(r.time);
+      }
+    }
+    return times;
+  }
+
+  // When the last packet from `from` reached A.
+  SimTime LastDeliveryToA(const Endpoint& from) const {
+    SimTime last;
+    for (const TraceRecord& r : scenario_->net().trace().records()) {
+      if (r.event == TraceEvent::kDeliver && r.node == topo5_.a->trace_id() && r.src == from) {
+        last = r.time;
+      }
+    }
+    return last;
   }
 
   Scenario* scenario_ = nullptr;
@@ -85,6 +131,7 @@ class UdpPunchTest : public ::testing::Test {
   UdpP2pSession* session_ = nullptr;
   UdpP2pSession* incoming_ = nullptr;
   Status punch_result_;
+  SimTime punched_at_;
 };
 
 TEST_F(UdpPunchTest, Fig5ConeNatsSucceedOnPublicEndpoints) {
@@ -250,6 +297,95 @@ TEST_F(UdpPunchTest, WithoutKeepAlivesSessionDies) {
   // Re-punching on demand (§3.6) restores connectivity.
   session_ = nullptr;
   EXPECT_NE(Punch(), nullptr);
+}
+
+TEST_F(UdpPunchTest, JitteredKeepalivesLeaveAtPunchPlusMultiplesOfTheInterval) {
+  // §3.6 keepalives: a session keeps one jittered cadence, hashed from its
+  // nonce, from the instant it is punched.
+  UdpPunchConfig config;
+  config.keepalive_interval = Seconds(15);
+  config.keepalive_jitter = Seconds(1);
+  BuildFig5ForSessionTimer(config);
+  UdpP2pSession* session = Punch();
+  ASSERT_NE(session, nullptr);
+  scenario_->net().RunFor(Seconds(100));
+
+  const int64_t jitter = config.keepalive_jitter.micros();
+  const SimDuration interval =
+      config.keepalive_interval +
+      Micros(static_cast<int64_t>(HashMix64(session->nonce()) %
+                                  static_cast<uint64_t>(2 * jitter + 1)) -
+             jitter);
+  std::vector<SimTime> expected;
+  for (SimTime at = punched_at_ + interval; at <= scenario_->net().now(); at = at + interval) {
+    expected.push_back(at);
+  }
+  ASSERT_GE(expected.size(), 6u);
+  // Probe replies to B's last probes leave within the first second; every
+  // later packet for B is a keepalive.
+  EXPECT_EQ(SendsFromA(session->peer_endpoint(), punched_at_ + Seconds(1)), expected);
+  EXPECT_TRUE(session->alive());
+}
+
+TEST_F(UdpPunchTest, SilencedPeerDiesExactlyOneExpiryAfterItsLastDatagram) {
+  // With keepalives on, A's timer fires at its own keepalive instants until
+  // the expiry deadline comes first; without them, only at the deadline.
+  // Either way the dead callback runs at last inbound + session_expiry.
+  for (bool keepalives : {true, false}) {
+    SCOPED_TRACE(keepalives ? "keepalives on" : "keepalives off");
+    UdpPunchConfig config;
+    config.keepalives_enabled = keepalives;
+    config.session_expiry = Seconds(40);
+    BuildFig5ForSessionTimer(config);
+    UdpP2pSession* session = Punch();
+    ASSERT_NE(session, nullptr);
+    SimTime dead_at;
+    Status dead_status;
+    session->SetDeadCallback([&](Status status) {
+      dead_at = scenario_->net().now();
+      dead_status = status;
+    });
+    if (keepalives) {
+      scenario_->net().RunFor(Seconds(20));  // B's keepalives reach A meanwhile
+    }
+    SilenceB();
+    scenario_->net().RunFor(Seconds(60));
+
+    const SimTime last_inbound = LastDeliveryToA(session->peer_endpoint());
+    if (keepalives) {
+      ASSERT_GT(last_inbound, punched_at_ + Seconds(15));  // a keepalive from B
+    }
+    EXPECT_FALSE(session->alive());
+    EXPECT_EQ(dead_status.code(), ErrorCode::kTimedOut);
+    EXPECT_EQ(dead_at, last_inbound + config.session_expiry);
+  }
+}
+
+TEST_F(UdpPunchTest, ExpiryDueWithAKeepaliveClosesWithoutSendingIt) {
+  // Expiry = 3 x interval, no jitter, and B silent from the punch: the
+  // deadline falls in the same microsecond as A's third keepalive. Expiry
+  // is checked first, so the session closes and that keepalive never
+  // leaves.
+  UdpPunchConfig config;
+  config.keepalive_interval = Seconds(5);
+  config.session_expiry = Seconds(15);
+  BuildFig5ForSessionTimer(config);
+  SimTime dead_at;
+  pa_->ConnectToPeer(2, [&](Result<UdpP2pSession*> r) {
+    ASSERT_TRUE(r.ok());
+    session_ = *r;
+    punched_at_ = scenario_->net().now();
+    session_->SetDeadCallback([&](Status) { dead_at = scenario_->net().now(); });
+    SilenceB();
+  });
+  scenario_->net().RunFor(Seconds(30));
+  ASSERT_NE(session_, nullptr);
+  ASSERT_EQ(LastDeliveryToA(session_->peer_endpoint()), punched_at_);  // nothing after
+
+  EXPECT_FALSE(session_->alive());
+  EXPECT_EQ(dead_at, punched_at_ + Seconds(15));
+  EXPECT_EQ(SendsFromA(session_->peer_endpoint(), punched_at_ + Seconds(1)),
+            (std::vector<SimTime>{punched_at_ + Seconds(5), punched_at_ + Seconds(10)}));
 }
 
 // ---------------------------------------------------------------------------

@@ -33,13 +33,13 @@ namespace {
 static_assert(sizeof(TimerHandle) == 56, "TimerHandle footprint budget");
 static_assert(sizeof(Payload) == 72, "Payload footprint budget (64 inline + 8 meta)");
 static_assert(sizeof(Packet) <= 136, "Packet footprint budget");
-static_assert(sizeof(UdpP2pSession) <= 184, "UdpP2pSession footprint budget");
+static_assert(sizeof(UdpP2pSession) <= 128, "UdpP2pSession footprint budget");
 static_assert(sizeof(ResilientSession) <= 472, "ResilientSession footprint budget");
 static_assert(sizeof(Endpoint) == 8, "Endpoint packs into a single word");
 static_assert(sizeof(ShardRing) == 16, "ShardRing is a handle to one shared state");
 static_assert(sizeof(UdpRendezvousClient) <= 384, "UdpRendezvousClient footprint budget");
 // What a one-host-per-peer population pays per site Lan: no packet storage.
-static_assert(sizeof(Lan) <= 368, "Lan footprint budget");
+static_assert(sizeof(Lan) <= 360, "Lan footprint budget");
 
 struct Tracked {
   explicit Tracked(int v) : value(v) { ++constructed; }
@@ -231,6 +231,7 @@ TEST(SlabTest, MetricsGaugesTrackPool) {
   Slab<Pod, 4> pool;
   pool.AttachMetrics(&registry, "test_pool");
   EXPECT_EQ(registry.GetGauge("mem.test_pool.live")->value(), 0);
+  EXPECT_EQ(registry.GetGauge("mem.test_pool.bytes")->value(), 0);
 
   std::vector<Pod*> objs;
   for (int i = 0; i < 6; ++i) {
@@ -239,11 +240,17 @@ TEST(SlabTest, MetricsGaugesTrackPool) {
   EXPECT_EQ(registry.GetGauge("mem.test_pool.live")->value(), 6);
   EXPECT_EQ(registry.GetGauge("mem.test_pool.peak")->value(), 6);
   EXPECT_EQ(registry.GetGauge("mem.test_pool.slabs")->value(), 4);  // 1 + 1 + 2 + 4
+  // Four 16 B chunk headers (a link and a count) and 8 slots of one Pod.
+  EXPECT_EQ(pool.bytes(), 4 * 16 + 8 * sizeof(Pod));
+  EXPECT_EQ(registry.GetGauge("mem.test_pool.bytes")->value(),
+            static_cast<int64_t>(pool.bytes()));
   for (Pod* p : objs) {
     pool.Delete(p);
   }
   EXPECT_EQ(registry.GetGauge("mem.test_pool.live")->value(), 0);
   EXPECT_EQ(registry.GetGauge("mem.test_pool.peak")->value(), 6);
+  EXPECT_EQ(registry.GetGauge("mem.test_pool.bytes")->value(),
+            static_cast<int64_t>(pool.bytes()));  // Delete keeps the chunks
 }
 
 TEST(SlabTest, DestructorsRunOnDeleteOnly) {
