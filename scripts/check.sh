@@ -16,7 +16,8 @@
 #                                    # table/device, core punching, TURN,
 #                                    # NAT Check, rendezvous (single and
 #                                    # sharded, with the shard ring) and TCP
-#                                    # tests, the flat hash map tests and the
+#                                    # tests, the flat hash map tests, the
+#                                    # delivery pool's growth test and the
 #                                    # gaming_lobby example under
 #                                    # -fsanitize=address,undefined and
 #                                    # re-run them (fault injection, session
@@ -94,13 +95,15 @@ if [[ "${NATPUNCH_TSAN:-0}" == "1" ]]; then
 fi
 
 if [[ "${NATPUNCH_ASAN:-0}" == "1" ]]; then
-  echo "==== ASan/UBSan pass: rebuilding chaos/failure/LAN/event-loop/golden-trace/NAT/punching/TURN/NAT Check/rendezvous/TCP/flat-hash tests and gaming_lobby with -fsanitize=address,undefined ===="
+  echo "==== ASan/UBSan pass: rebuilding chaos/failure/LAN/event-loop/golden-trace/NAT/punching/TURN/NAT Check/rendezvous/TCP/flat-hash/delivery-pool tests and gaming_lobby with -fsanitize=address,undefined ===="
   # NatCheckTest is anchored: the unbuilt fleet_test shares natcheck_test's
   # FleetTest suite name, so only NatCheckTest is selected from that binary.
   # FlatHashMapTest is anchored too: it is the only util_test suite selected.
+  # From alloc_test only the delivery pool's growth test runs: it counts the
+  # bytes the pool asks operator new for, which the sanitizer does not change.
   sanitizer_pass "$ASAN_BUILD_DIR" address,undefined \
-    'Chaos|FailureTest|LanTest|NetworkTest|EventLoopTest|EventLoopEdgeTest|TraceGoldenTest|TimerWheel|^(UdpPunch|TcpPunch|Relay|Prober|Prediction|Connector|NatTable|NatDevice|BasicNat|Contention|TurnCodec|Turn|NatCheck|Framer|RendezvousCodec|Rendezvous|ShardMessage|ShardRing|ShardedTier|Tcp|FlatHashMap)Test\.|/NatTableModelTest\.|^ShardedTierByteIdentity\.|^example_gaming_lobby$' \
+    'Chaos|FailureTest|LanTest|NetworkTest|EventLoopTest|EventLoopEdgeTest|TraceGoldenTest|TimerWheel|^(UdpPunch|TcpPunch|Relay|Prober|Prediction|Connector|NatTable|NatDevice|BasicNat|Contention|TurnCodec|Turn|NatCheck|Framer|RendezvousCodec|Rendezvous|ShardMessage|ShardRing|ShardedTier|Tcp|FlatHashMap)Test\.|/NatTableModelTest\.|^ShardedTierByteIdentity\.|^ZeroAllocTest\.DeliveryPoolGrowsWithoutCopying$|^example_gaming_lobby$' \
     chaos_test failure_test netsim_test misc_test timer_wheel_test trace_golden_test core_test \
     nat_test nat_table_model_test extensions_test turn_test natcheck_test rendezvous_test \
-    rendezvous_shard_test tcp_test util_test gaming_lobby
+    rendezvous_shard_test tcp_test util_test alloc_test gaming_lobby
 fi

@@ -63,7 +63,7 @@ for leg, entry in legs.items():
     # slabs and mem.deliveries.{live,peak,bytes} for the one host-less
     # delivery pool; aggregate by pool across hosts. Every pool reports the
     # bytes it holds: a slab its chunks (headers plus capacity x slot size),
-    # the delivery pool its slot vector.
+    # the delivery pool its 64-slot chunks.
     pools = {}
     for name, g in gauges.items():
         m = re.match(r"mem\.([a-z_]+)(?:\.(.+))?\.(live|peak|slabs|bytes)$", name)

@@ -10,8 +10,8 @@
 namespace natpunch {
 
 // Footprint budget (see DESIGN.md "Memory footprint"): two of these exist
-// per counted swarm session. 72 bytes of state + one 56-byte timer handle.
-static_assert(sizeof(UdpP2pSession) <= 128,
+// per counted swarm session. 64 bytes of state + one 56-byte timer handle.
+static_assert(sizeof(UdpP2pSession) <= 120,
               "UdpP2pSession grew past its footprint budget; move cold fields "
               "to the puncher side table instead");
 
@@ -424,7 +424,6 @@ Status UdpP2pSession::Send(Bytes payload) {
   if (!alive()) {
     return Status(ErrorCode::kClosed, "session dead");
   }
-  ++datagrams_sent_;
   puncher_->SendPeerMessage(peer_endpoint_, PeerMsgType::kData, nonce_, std::move(payload));
   return Status::Ok();
 }

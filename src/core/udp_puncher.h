@@ -83,7 +83,6 @@ class UdpP2pSession {
   bool used_private_endpoint() const { return (flags_ & kUsedPrivate) != 0; }
   SimDuration punch_elapsed() const { return Micros(punch_elapsed_us_); }
   int probes_sent() const { return probes_sent_; }
-  uint64_t datagrams_sent() const { return datagrams_sent_; }
   uint64_t datagrams_received() const { return datagrams_received_; }
 
  private:
@@ -104,7 +103,6 @@ class UdpP2pSession {
   UdpHolePuncher* puncher_;
   uint64_t peer_id_ = 0;
   uint64_t nonce_ = 0;
-  uint64_t datagrams_sent_ = 0;
   uint64_t datagrams_received_ = 0;
   SimTime last_inbound_;
   // When the next keepalive leaves; never, with keepalives disabled.
@@ -247,8 +245,8 @@ class UdpHolePuncher {
   // addresses, no per-object malloc header) indexed by an open-addressing
   // map. Lookups are point queries; nothing iterates sessions_ in hash
   // order except teardown and the alive-count stat. A pool's idle tail is
-  // under one chunk: a swarm puncher's 1,563 sessions take 1,664 slots.
-  Slab<UdpP2pSession, 128> session_pool_;
+  // under one chunk: a swarm puncher's 1,563 sessions take 1,600 slots.
+  Slab<UdpP2pSession, 64> session_pool_;
   FlatHashMap<uint64_t, UdpP2pSession*> sessions_;  // by nonce
   FlatHashMap<uint64_t, SessionCallbacks> session_callbacks_;
   std::function<void(UdpP2pSession*)> incoming_cb_;

@@ -9,38 +9,39 @@
 
 namespace natpunch {
 
-uint32_t DeliveryPool::Park(Node* node, int iface, Packet&& packet) {
-  uint32_t slot = free_head_;
-  if (slot == kNone) {
-    slot = static_cast<uint32_t>(slots_.size());
-    slots_.emplace_back();
-    SetBytesGauge();
-  } else {
-    free_head_ = slots_[slot].next;
+PendingDelivery* DeliveryPool::Park(Node* node, int iface, Packet&& packet) {
+  if (free_head_ == nullptr) {
+    Grow();
   }
-  PendingDelivery& d = slots_[slot];
-  d.node = node;
-  d.iface = iface;
-  d.packet = std::move(packet);
+  PendingDelivery* d = free_head_;
+  free_head_ = d->next;
+  d->node = node;
+  d->iface = iface;
+  d->packet = std::move(packet);
   if (++live_ > peak_) {
     peak_ = live_;
     obs::Set(metric_peak_, peak_);
   }
   obs::Set(metric_live_, live_);
-  return slot;
+  return d;
 }
 
-void DeliveryPool::Release(uint32_t slot) {
-  slots_[slot].next = free_head_;
+void DeliveryPool::Release(PendingDelivery* slot) {
+  slot->next = free_head_;
   free_head_ = slot;
   obs::Set(metric_live_, --live_);
 }
 
 void DeliveryPool::Clear() {
-  slots_.clear();
-  free_head_ = kNone;
+  free_head_ = nullptr;
+  for (size_t c = chunks_.size(); c-- > 0;) {
+    for (PendingDelivery& d : *chunks_[c]) {
+      d.packet.payload = Payload();  // frees a payload still parked here
+    }
+    FreeChunk(*chunks_[c]);
+  }
   live_ = peak_ = 0;
-  SetBytesGauge();  // the capacity stays
+  SetBytesGauge();  // the chunks stay
 }
 
 void DeliveryPool::AttachMetrics(obs::Gauge* live, obs::Gauge* peak, obs::Gauge* bytes) {
@@ -52,8 +53,21 @@ void DeliveryPool::AttachMetrics(obs::Gauge* live, obs::Gauge* peak, obs::Gauge*
   SetBytesGauge();
 }
 
+void DeliveryPool::Grow() {
+  chunks_.push_back(std::make_unique<Chunk>());
+  FreeChunk(*chunks_.back());
+  SetBytesGauge();
+}
+
+void DeliveryPool::FreeChunk(Chunk& chunk) {
+  for (size_t i = kChunkSlots; i-- > 0;) {
+    chunk[i].next = free_head_;
+    free_head_ = &chunk[i];
+  }
+}
+
 void DeliveryPool::SetBytesGauge() {
-  obs::Set(metric_bytes_, static_cast<int64_t>(slots_.capacity() * sizeof(PendingDelivery)));
+  obs::Set(metric_bytes_, static_cast<int64_t>(chunks_.size() * sizeof(Chunk)));
 }
 
 Lan::Lan(Network* network, std::string name, LanConfig config)
@@ -174,24 +188,22 @@ void Lan::Transmit(Node* sender, Ipv4Address next_hop, Packet&& packet) {
   Schedule(delay + extra_hold, pool.Park(target->node, target->iface, std::move(packet)));
 }
 
-void Lan::Schedule(SimDuration delay, uint32_t slot) {
+void Lan::Schedule(SimDuration delay, PendingDelivery* slot) {
   EventLoop& loop = network_->event_loop();
-  DeliveryPool& pool = network_->deliveries();
   const SimTime at = loop.now() + delay;
-  if (queue_head_ != DeliveryPool::kNone && at.micros() < pool[queue_tail_].time) {
+  if (queue_head_ != nullptr && at.micros() < queue_tail_->time) {
     // Lands before the tail (jitter, a reorder hold): its own closure.
     loop.ScheduleAt(at, [this, slot] { Deliver(slot); });
     return;
   }
-  PendingDelivery& queued = pool[slot];
-  queued.time = at.micros();
-  queued.id = loop.ReserveSequence();
-  queued.next = DeliveryPool::kNone;
-  if (queue_head_ == DeliveryPool::kNone) {
+  slot->time = at.micros();
+  slot->id = loop.ReserveSequence();
+  slot->next = nullptr;
+  if (queue_head_ == nullptr) {
     queue_head_ = slot;
-    loop.ScheduleReserved(at, queued.id, &queue_timer_);
+    loop.ScheduleReserved(at, slot->id, &queue_timer_);
   } else {
-    pool[queue_tail_].next = slot;
+    queue_tail_->next = slot;
   }
   queue_tail_ = slot;
 }
@@ -199,12 +211,11 @@ void Lan::Schedule(SimDuration delay, uint32_t slot) {
 void Lan::DeliverQueued() {
   // Re-arm for the next head before delivering: HandlePacket may transmit
   // on this same Lan, appending behind it.
-  DeliveryPool& pool = network_->deliveries();
-  const uint32_t slot = queue_head_;
-  queue_head_ = pool[slot].next;
-  if (queue_head_ != DeliveryPool::kNone) {
-    const PendingDelivery& head = pool[queue_head_];
-    network_->event_loop().ScheduleReserved(SimTime(head.time), head.id, &queue_timer_);
+  PendingDelivery* const slot = queue_head_;
+  queue_head_ = slot->next;
+  if (queue_head_ != nullptr) {
+    network_->event_loop().ScheduleReserved(SimTime(queue_head_->time), queue_head_->id,
+                                            &queue_timer_);
   }
   Deliver(slot);
 }
@@ -247,14 +258,13 @@ void Lan::Mangle(Packet& packet, SimDuration& extra, bool& duplicate) {
   }
 }
 
-void Lan::Deliver(uint32_t slot) {
+void Lan::Deliver(PendingDelivery* slot) {
   // Move everything out and release the slot first: HandlePacket may
-  // transmit, which can take the slot again or grow the pool under it.
-  DeliveryPool& pool = network_->deliveries();
-  Node* const node = pool[slot].node;
-  const int iface = pool[slot].iface;
-  Packet packet = std::move(pool[slot].packet);
-  pool.Release(slot);
+  // transmit, and the LIFO free list hands this slot to the next Park.
+  Node* const node = slot->node;
+  const int iface = slot->iface;
+  Packet packet = std::move(slot->packet);
+  network_->deliveries().Release(slot);
   network_->trace().Record(network_->now(), node->trace_id(), TraceEvent::kDeliver, packet);
   node->HandlePacket(iface, std::move(packet));
 }

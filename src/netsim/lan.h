@@ -9,12 +9,15 @@
 // A Lan stores no packets itself: an in-flight packet waits in its
 // Network's DeliveryPool, and the Lan's in-order delivery queue is a list
 // threaded through that pool, so the network holds as many slots as it
-// ever had packets in flight at once, however they were spread over Lans.
+// ever had packets in flight at once (rounded up to a chunk), however they
+// were spread over Lans.
 
 #ifndef SRC_NETSIM_LAN_H_
 #define SRC_NETSIM_LAN_H_
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -88,34 +91,40 @@ struct PendingDelivery {
   Packet packet;
   int64_t time = 0;  // micros
   EventLoop::EventId id = EventLoop::kInvalidEventId;
+  PendingDelivery* next = nullptr;
   int iface = 0;
-  uint32_t next = 0;
 };
 
-// The in-flight packets of every Lan in one Network: one vector of slots,
-// recycled through a LIFO free list and never shrunk. Park may grow the
-// vector, so no reference into the pool may be held across it, nor across
-// anything that can transmit.
+// The in-flight packets of every Lan in one Network: slots in fixed chunks
+// of kChunkSlots that never move, recycled through a LIFO free list and
+// never freed before the pool. Growing adds a chunk and copies nothing, so
+// a slot's address holds from Park to Release whatever is parked
+// meanwhile. Free slots stay constructed (a released slot keeps its
+// moved-from packet), which lets Clear drop the parked payloads and keep
+// the chunks.
 class DeliveryPool {
  public:
-  static constexpr uint32_t kNone = UINT32_MAX;
-
-  PendingDelivery& operator[](uint32_t slot) { return slots_[slot]; }
+  static constexpr size_t kChunkSlots = 64;
 
   // Park `packet` for `iface` of `node`; returns its slot.
-  uint32_t Park(Node* node, int iface, Packet&& packet);
-  void Release(uint32_t slot);
-  // Drop every slot and the payloads they own, keeping the capacity.
+  PendingDelivery* Park(Node* node, int iface, Packet&& packet);
+  void Release(PendingDelivery* slot);
+  // Free every slot and drop the payloads parked in them, keeping the chunks.
   void Clear();
   // Wire the mem.deliveries.live/peak gauges and mem.deliveries.bytes, the
-  // memory the slot vector holds; recording never allocates.
+  // memory the chunks hold; recording never allocates.
   void AttachMetrics(obs::Gauge* live, obs::Gauge* peak, obs::Gauge* bytes);
 
  private:
+  using Chunk = std::array<PendingDelivery, kChunkSlots>;
+
+  void Grow();
+  // Push `chunk`'s slots onto the free list so Park hands them out in order.
+  void FreeChunk(Chunk& chunk);
   void SetBytesGauge();
 
-  std::vector<PendingDelivery> slots_;
-  uint32_t free_head_ = kNone;
+  std::vector<std::unique_ptr<Chunk>> chunks_;
+  PendingDelivery* free_head_ = nullptr;
   int64_t live_ = 0;
   int64_t peak_ = 0;
   obs::Gauge* metric_live_ = nullptr;
@@ -169,10 +178,10 @@ class Lan {
   // Hand the parked delivery in `slot` to the event loop, due `delay` from
   // now: appended to the link queue when not earlier than its tail, else
   // scheduled as its own closure.
-  void Schedule(SimDuration delay, uint32_t slot);
+  void Schedule(SimDuration delay, PendingDelivery* slot);
   // Queue head's timer: pop the head, re-arm for the next one, deliver.
   void DeliverQueued();
-  void Deliver(uint32_t slot);
+  void Deliver(PendingDelivery* slot);
   // Applies the MangleConfig to a packet that survived the loss models.
   // Mutates the payload in place (corrupt/truncate) and reports via `extra`
   // how long a reordered packet is held past its computed delay and via
@@ -181,8 +190,8 @@ class Lan {
 
   Network* network_;
   std::string name_;
-  TraceNodeId trace_id_ = 0;
   LanConfig config_;
+  TraceNodeId trace_id_ = 0;
   bool up_ = true;
   bool burst_bad_ = false;  // Gilbert-Elliott channel state
   std::vector<Attachment> attachments_;
@@ -193,8 +202,8 @@ class Lan {
   // In-order delivery queue: a list of pool slots linked through
   // PendingDelivery::next, sorted by (time, sequence), whose head alone is
   // armed in the loop. The tail is meaningful only while the head is.
-  uint32_t queue_head_ = DeliveryPool::kNone;
-  uint32_t queue_tail_ = DeliveryPool::kNone;
+  PendingDelivery* queue_head_ = nullptr;
+  PendingDelivery* queue_tail_ = nullptr;
   TimerHandle queue_timer_;
   // Null when the Network has no metrics registry (obs::Inc is null-safe).
   obs::Counter* metric_corrupted_ = nullptr;

@@ -35,6 +35,7 @@ namespace {
 
 std::atomic<bool> g_counting{false};
 std::atomic<uint64_t> g_allocs{0};
+std::atomic<uint64_t> g_alloc_bytes{0};  // bytes those allocations asked for
 
 // Backtraces of the first few counted allocations, for actionable failure
 // output. Captured with async-signal-unsafe-free machinery only (backtrace
@@ -45,11 +46,12 @@ void* g_sample_frames[kMaxSamples][kMaxFrames];
 int g_sample_depth[kMaxSamples];
 std::atomic<int> g_samples{0};
 
-void CountAllocation() {
+void CountAllocation(size_t size) {
   if (!g_counting.load(std::memory_order_relaxed)) {
     return;
   }
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(size, std::memory_order_relaxed);
   int slot = g_samples.load(std::memory_order_relaxed);
   if (slot < kMaxSamples &&
       g_samples.compare_exchange_strong(slot, slot + 1, std::memory_order_relaxed)) {
@@ -83,7 +85,7 @@ std::string DescribeSamples() {
 }  // namespace
 
 void* operator new(size_t size) {
-  CountAllocation();
+  CountAllocation(size);
   void* p = std::malloc(size);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -92,7 +94,7 @@ void* operator new(size_t size) {
 }
 
 void* operator new[](size_t size) {
-  CountAllocation();
+  CountAllocation(size);
   void* p = std::malloc(size);
   if (p == nullptr) {
     throw std::bad_alloc();
@@ -456,9 +458,10 @@ TEST(ZeroAllocTest, ShardRingCopiesAndLookupsAllocateNothing) {
 TEST(ZeroAllocTest, SlabBytesGaugeRecordsWithoutAllocating) {
   // A pool's only allocations are its chunks: growing a metered pool to a
   // swarm puncher's 1,563 sessions allocates once per chunk, and
-  // mem.<pool>.bytes then reads every byte those chunks hold.
+  // mem.<pool>.bytes then reads every byte those chunks hold. The chunk
+  // size is UdpHolePuncher's.
   obs::MetricsRegistry registry;
-  Slab<UdpP2pSession, 128> pool;
+  Slab<UdpP2pSession, 64> pool;
   pool.AttachMetrics(&registry, "udp_sessions.test");  // registration may allocate
   const obs::Gauge* bytes = registry.FindGauge("mem.udp_sessions.test.bytes");
   ASSERT_NE(bytes, nullptr);
@@ -475,7 +478,8 @@ TEST(ZeroAllocTest, SlabBytesGaugeRecordsWithoutAllocating) {
   g_counting.store(false);
 
   EXPECT_EQ(g_allocs.load(), pool.slab_count()) << DescribeSamples();
-  EXPECT_EQ(pool.capacity(), 1664u);  // 1 + 1 + 2 + ... + 64, then 128-slot chunks
+  EXPECT_EQ(pool.slab_count(), 31u);
+  EXPECT_EQ(pool.capacity(), 1600u);  // 1 + 1 + 2 + ... + 64, then 64-slot chunks
   EXPECT_EQ(bytes->value(), static_cast<int64_t>(pool.bytes()));
   EXPECT_EQ(pool.bytes(),
             pool.slab_count() * 16 + pool.capacity() * sizeof(UdpP2pSession));
@@ -508,9 +512,9 @@ TEST(ZeroAllocTest, BurstOnAnotherLanReusesTheDeliveryPool) {
   // pool, so a burst on a Lan that never carried one reuses the slots that
   // bursts on another Lan grew: no per-Lan storage warms up again.
   constexpr size_t kBurst = 1000;
-  // The slot vector doubles from one slot, so the first bursts leave room
-  // for 1,024. The counted burst fills that room: its last 24 packets
-  // append slots, and each append records mem.deliveries.bytes.
+  // The pool grows a 64-slot chunk at a time, so the first bursts leave 16
+  // chunks: room for 1,024. The counted burst fills that room, its last 24
+  // packets in slots no packet has used yet.
   constexpr size_t kCapacity = 1024;
   Network net(1);
   const obs::MetricsRegistry* reg = net.EnableMetrics();  // gauges record too
@@ -545,6 +549,51 @@ TEST(ZeroAllocTest, BurstOnAnotherLanReusesTheDeliveryPool) {
   EXPECT_EQ(live->value(), 0);
   EXPECT_EQ(peak->value(), static_cast<int64_t>(kCapacity));
   EXPECT_EQ(bytes->value(), static_cast<int64_t>(kCapacity * sizeof(PendingDelivery)));
+}
+
+TEST(ZeroAllocTest, DeliveryPoolGrowsWithoutCopying) {
+  // The pool grows by adding a chunk and moves no slot, so a cold Network
+  // that takes 5,000 packets in flight asks operator new for its final
+  // chunks and the table that points at them, and for no outgrown copy.
+  constexpr size_t kInFlight = 5000;
+  const Ipv4Address to = Ipv4Address::FromOctets(10, 0, 0, 2);
+  Network net(1);
+  const obs::MetricsRegistry* reg = net.EnableMetrics();
+  Lan* lan = net.CreateLan("lan", LanConfig{.latency = Millis(1)});
+  auto* from = net.Create<CountingNode>("from");
+  auto* sink = net.Create<CountingNode>("sink");
+  from->AttachTo(lan, Ipv4Address::FromOctets(10, 0, 0, 1));
+  sink->AttachTo(lan, to);
+  const obs::Gauge* peak = reg->FindGauge("mem.deliveries.peak");
+  const obs::Gauge* bytes = reg->FindGauge("mem.deliveries.bytes");
+  ASSERT_NE(peak, nullptr);
+  ASSERT_NE(bytes, nullptr);
+  ASSERT_EQ(bytes->value(), 0);
+
+  g_allocs.store(0);
+  g_alloc_bytes.store(0);
+  g_samples.store(0);
+  g_counting.store(true);
+  SendBurst(net, from, to, kInFlight);
+  g_counting.store(false);
+
+  EXPECT_EQ(sink->received, kInFlight);
+  EXPECT_EQ(peak->value(), static_cast<int64_t>(kInFlight));
+  const size_t chunk_bytes = DeliveryPool::kChunkSlots * sizeof(PendingDelivery);
+  const auto chunks = static_cast<size_t>(bytes->value()) / chunk_bytes;
+  EXPECT_EQ(chunks, (kInFlight + DeliveryPool::kChunkSlots - 1) / DeliveryPool::kChunkSlots);
+  const size_t held = chunks * chunk_bytes + chunks * sizeof(void*);
+  EXPECT_GE(g_alloc_bytes.load(), held);
+  EXPECT_LE(g_alloc_bytes.load(), held + held / 10)
+      << g_allocs.load() << " allocations; " << DescribeSamples();
+  // Besides the chunks, only the chunk table, which doubles from one
+  // pointer, and the cold event loop's first event slot and heap entry:
+  // the Lan's queue timer is the one event armed at a time.
+  size_t table_allocs = 1;
+  for (size_t capacity = 1; capacity < chunks; capacity *= 2) {
+    ++table_allocs;
+  }
+  EXPECT_EQ(g_allocs.load(), chunks + table_allocs + 2) << DescribeSamples();
 }
 
 TEST(ZeroAllocTest, NetworkResetKeepsTheDeliveryPool) {

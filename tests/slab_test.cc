@@ -33,13 +33,15 @@ namespace {
 static_assert(sizeof(TimerHandle) == 56, "TimerHandle footprint budget");
 static_assert(sizeof(Payload) == 72, "Payload footprint budget (64 inline + 8 meta)");
 static_assert(sizeof(Packet) <= 136, "Packet footprint budget");
-static_assert(sizeof(UdpP2pSession) <= 128, "UdpP2pSession footprint budget");
+static_assert(sizeof(UdpP2pSession) <= 120, "UdpP2pSession footprint budget");
 static_assert(sizeof(ResilientSession) <= 472, "ResilientSession footprint budget");
 static_assert(sizeof(Endpoint) == 8, "Endpoint packs into a single word");
 static_assert(sizeof(ShardRing) == 16, "ShardRing is a handle to one shared state");
 static_assert(sizeof(UdpRendezvousClient) <= 384, "UdpRendezvousClient footprint budget");
 // What a one-host-per-peer population pays per site Lan: no packet storage.
 static_assert(sizeof(Lan) <= 360, "Lan footprint budget");
+// One delivery-pool slot per packet in flight, network-wide.
+static_assert(sizeof(PendingDelivery) <= 176, "PendingDelivery footprint budget");
 
 struct Tracked {
   explicit Tracked(int v) : value(v) { ++constructed; }
